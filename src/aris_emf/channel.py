@@ -308,28 +308,3 @@ class ChannelSet:
         for arr in (self._wg, self._wh, self._hd):
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
-
-
-def _ctok(z):
-    return f"{z.real:.17g}{z.imag:+.17g}j"
-
-
-def dump_channels(realization, path):
-    """Textual matrix dump (one complex entry per token, row-major) for cross-checks."""
-    with open(path, "w", encoding="utf-8") as fh:
-        r = realization
-        nt, nc, u = r.hd.shape[0], r.hd.shape[1], r.hd.shape[2]
-        for ell in range(nt):
-            for n in range(nc):
-                for uu in range(u):
-                    if r.gbar.size:
-                        g = r.g_scale[ell, uu] * r.gbar[ell, n, uu]
-                        fh.write(f"G {uu} {n} {ell} " +
-                                 " ".join(_ctok(z) for z in g.ravel()) + "\n")
-                    hd = r.hd[ell, n, uu]
-                    fh.write(f"Hd {uu} {n} {ell} " +
-                             " ".join(_ctok(z) for z in hd.ravel()) + "\n")
-                if r.hbar.size:
-                    h = r.h_scale[ell] * r.hbar[ell, n]
-                    fh.write(f"H {n} {ell} " +
-                             " ".join(_ctok(z) for z in h.ravel()) + "\n")

@@ -204,6 +204,12 @@ def _fd_hessian(fn, x, grad):
     return 0.5 * (h + h.T)
 
 
+def _strictly_feasible(fv):
+    """Every constraint value finite and negative (NaN and inf count as
+    infeasible, which a comparison with 0 alone would not catch)."""
+    return bool(np.all(np.isfinite(fv) & (fv < 0)))
+
+
 def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=False,
                          t0=1.0, t_growth=2.0):
     """Log-barrier method: barrier weight shrunk (t grown by t_growth) each
@@ -236,15 +242,15 @@ def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=Fal
 
     fvals = ineq_values(x)
     m = fvals.size
-    if m and fvals.max() >= 0:
-        worst = int(np.argmax(fvals))
+    if m and not _strictly_feasible(fvals):
+        worst = int(np.argmax(np.where(np.isfinite(fvals), fvals, np.inf)))
         raise ConvexSolverError(
             f"infeasible start: constraint {worst} has value {fvals[worst]:.3g} (needs < 0)")
 
     def barrier_value(t, xx):
         v0 = _eval(program.objective, xx)[0]
         fv = ineq_values(xx)
-        if fv.size and fv.max() >= 0:
+        if fv.size and not _strictly_feasible(fv):
             return np.inf
         return t * v0 - float(np.sum(np.log(-fv))) if fv.size else t * v0
 

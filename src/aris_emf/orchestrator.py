@@ -1,11 +1,15 @@
 """Alternating-optimization driver and the benchmark schemes.
 
-One outer iteration refines, in order: per-element transmit beams, the
-surface phases, the element-to-user allocation, and the transmit powers —
-slot by slot — and finally the flight path across slots.  Every sub-block
-is safeguarded: its output replaces the state only when the network
-exposure index does not increase and per-user power caps remain satisfied,
-so the exposure trace is non-increasing by construction.
+The element-to-user allocation is fixed at initialization by the greedy
+ranking of `re_alloc.allocate`, which depends only on the rate targets and
+the start path's distances; the power block may later drop an element whose
+water-filled power is zero.  One outer iteration then sweeps the slots, and
+in each slot refines the per-element transmit beams, the surface phases and
+the transmit powers, in that order; finally it refines the flight path
+across slots.  Every sub-block is safeguarded: its output replaces the
+state only when the network exposure index does not increase and per-user
+power caps remain satisfied, so the exposure trace is non-increasing by
+construction.
 
 Throughout, each assigned resource element carries a fixed rate share, and
 its transmit power is pinned to rate equality (p = power_factor / gain);
@@ -36,29 +40,34 @@ NEUTRAL_BEAM = Beamformer(alpha=(1.0, 1.0), beta=(0.0, 0.0))
 REL_TOL = 1e-12          # per-RE beam acceptance slack
 CAP_SLACK = 1e-9         # relative slack on per-user power caps
 
+# Inner-solver budgets during one AO run.  They favor speed on repeated
+# Monte Carlo runs; the per-module defaults (used when calling the
+# optimizers directly) are stricter.  One linearized waypoint move per
+# outer iteration (TRAJ_X_ROUNDS = TRAJ_SCA_ITERS = 1) is the efficient
+# schedule here because the outer loop re-derives the gain field (beams,
+# phases and powers included) before every new attempt, which a standalone
+# multi-round search cannot do.
+BEAM_EPS = 1e-6          # Dinkelbach stopping tolerance
+PHASE_ROUNDS = 3         # phase-block rounds per slot
+PHASE_DRAWS = 100        # Gaussian randomization draws per round
+SDP_TOL = 1e-6
+TRAJ_X_ROUNDS = 1
+TRAJ_SCA_ITERS = 1
+TRAJ_BARRIER_TOL = 1e-4
+TRAJ_EPS5 = 1e-4
+
 
 @dataclass
 class AoKnobs:
-    """Iteration budgets of the inner optimizers during one AO run.
+    """The one AO budget callers set.
 
-    Defaults favor speed on repeated Monte Carlo runs; the per-module
-    defaults (used when calling the optimizers directly) are stricter.
-    One linearized waypoint move per outer iteration (traj_x_rounds =
-    traj_sca_iters = 1) is the efficient schedule here because the outer
-    loop re-derives the gain field — beams, phases, and powers included —
-    before every new attempt, which a standalone multi-round search cannot
-    do.  traj_outers caps how many outer iterations attempt such a move;
-    later iterations polish beams/phases/power on the final path.
+    The allocation is fixed at initialization by the greedy ranking; each
+    outer iteration runs beams -> phases -> power in every slot, then the
+    flight-path block.  traj_outers caps how many outer iterations attempt
+    a flight-path move; later iterations polish beams, phases and powers on
+    the final path.
     """
 
-    beam_eps: float = 1e-6
-    phase_rounds: int = 3
-    phase_draws: int = 100
-    sdp_tol: float = 1e-6
-    traj_x_rounds: int = 1
-    traj_sca_iters: int = 1
-    traj_barrier_tol: float = 1e-4
-    traj_eps5: float = 1e-4
     traj_outers: int = 2
 
 
@@ -158,50 +167,54 @@ def _power_factor(share, p):
     return p.noise_per_re * (2.0 ** (share / p.bandwidth_per_re) - 1.0)
 
 
-def _refresh_slot(state, ell):
-    """Recompute cached gain and reference exposure for active REs of a slot."""
-    sc = state.scenario
-    theta = state.thetas[ell]
-    for u, n in zip(*np.nonzero(state.delta[ell])):
-        beam = state.beams[ell, u, n]
-        h_eff = state.channels.effective(ell, n, u, theta)
-        state.gamma[ell, u, n] = channel_gain(h_eff, beam)
-        state.sar[ell, u, n] = _sar_of(beam, sc.sar_model)
+def _exposure_weight(state, ell, u, n):
+    """c = sqrt(power_factor * SAR): the link's exposure is c^2 / gain."""
+    return math.sqrt(_power_factor(state.shares[ell, u, n], state.scenario.params)
+                     * state.sar[ell, u, n])
 
 
-def _equality_powers(state, ell, delta=None, shares=None, gamma=None):
+def _equality_powers(state, ell, gamma):
     """Powers meeting each active RE's share exactly (p = power_factor / gain)."""
-    p = state.scenario.params
-    delta = state.delta[ell] if delta is None else delta
-    shares = state.shares[ell] if shares is None else shares
-    gamma = state.gamma[ell] if gamma is None else gamma
-    powers = np.zeros_like(shares)
-    active = delta > 0
+    active = state.delta[ell] > 0
     if np.any(gamma[active] <= 0):
         raise InfeasibleError("an assigned resource element has no usable gain")
-    pf = p.noise_per_re * (2.0 ** (shares[active] / p.bandwidth_per_re) - 1.0)
-    powers[active] = pf / gamma[active]
+    powers = np.zeros_like(gamma)
+    powers[active] = (_power_factor(state.shares[ell][active], state.scenario.params)
+                      / gamma[active])
     return powers
 
 
-def _caps_ok(powers_row, p_max):
-    return bool(np.all(powers_row.sum(axis=1) <= p_max * (1.0 + CAP_SLACK)))
+def _refresh(state):
+    """Recompute every slot's cached gains and reference exposures at the
+    current channels, phases and beams, then its rate-equality powers."""
+    sc = state.scenario
+    for ell in range(sc.num_slots):
+        theta = state.thetas[ell]
+        for u, n in zip(*np.nonzero(state.delta[ell])):
+            beam = state.beams[ell, u, n]
+            h_eff = state.channels.effective(ell, n, u, theta)
+            state.gamma[ell, u, n] = channel_gain(h_eff, beam)
+            state.sar[ell, u, n] = _sar_of(beam, sc.sar_model)
+        state.powers[ell] = _equality_powers(state, ell, state.gamma[ell])
 
 
-def initialize_state(scenario, channel_set):
-    """Feasible starting point: straight path, flat phases, greedy allocation,
-    equal rate shares, neutral beams, rate-equality powers."""
+def _caps_ok(powers, p_max):
+    """Whether every (slot, user) row of powers keeps within the cap."""
+    return bool(np.all(powers.sum(axis=-1) <= p_max * (1.0 + CAP_SLACK)))
+
+
+def initialize_state(scenario, channel_set, path):
+    """Feasible starting point on the given (N_T, 3) flight path: flat phases,
+    greedy allocation, equal rate shares, neutral beams, rate-equality powers."""
     p = scenario.params
     if p.num_subcarriers < p.num_users:
         raise InfeasibleError("fewer resource elements than users")
-    traj = straight_trajectory(scenario.aris_start, scenario.aris_end,
-                               p.num_slots).points
-    channels = channel_set.realize(traj)
+    channels = channel_set.realize(path)
     nt, u, nc = p.num_slots, p.num_users, p.num_subcarriers
     shape = (nt, u, nc)
     state = SolutionState(
         scenario=scenario, channel_set=channel_set, channels=channels,
-        trajectory=traj, delta=np.zeros(shape), shares=np.zeros(shape),
+        trajectory=path, delta=np.zeros(shape), shares=np.zeros(shape),
         powers=np.zeros(shape), gamma=np.zeros(shape), sar=np.zeros(shape),
         beams=np.empty(shape, dtype=object),
         thetas=np.tile(uniform_phases(p.num_ris_elements).values, (nt, 1)),
@@ -218,26 +231,21 @@ def initialize_state(scenario, channel_set):
             owner = allocate(scenario.rate_targets, np.ones(u), 1.0,
                              0.0, 0.0, p.bandwidth_per_re, nc)
         state.delta[ell] = owner.delta
-        counts = owner.counts
         for uu in range(u):
             mask = owner.delta[uu] > 0
-            state.shares[ell, uu, mask] = scenario.rate_targets[uu] / counts[uu]
-            for n in np.flatnonzero(mask):
-                state.beams[ell, uu, n] = NEUTRAL_BEAM
-        _refresh_slot(state, ell)
-        state.powers[ell] = _equality_powers(state, ell)
+            state.shares[ell, uu, mask] = scenario.rate_targets[uu] / owner.counts[uu]
+            state.beams[ell, uu, mask] = NEUTRAL_BEAM
+    _refresh(state)
 
-    bad_users = set()
-    for ell in range(nt):
-        spent = state.powers[ell].sum(axis=1)
-        bad_users.update(np.flatnonzero(spent > p.p_max * (1.0 + CAP_SLACK)).tolist())
-    if bad_users:
+    spent = state.powers.sum(axis=2)
+    bad_users = np.flatnonzero(np.any(spent > p.p_max * (1.0 + CAP_SLACK), axis=0))
+    if bad_users.size:
         raise InfeasibleError("initialization exceeds the power cap for users "
-                              f"{sorted(bad_users)}")
+                              f"{bad_users.tolist()}")
     return state
 
 
-def _block_beams(state, ell, knobs, check_caps=True):
+def _block_beams(state, ell, check_caps):
     """Per-RE ratio minimization; returns candidate arrays or None."""
     sc = state.scenario
     p = sc.params
@@ -251,7 +259,7 @@ def _block_beams(state, ell, knobs, check_caps=True):
                                sigma2=p.noise_per_re, bandwidth=p.bandwidth_per_re)
         try:
             beam, info = optimize_beamformer(k_mat, sc.sar_model, consts,
-                                             eps1=knobs.beam_eps)
+                                             eps1=BEAM_EPS)
         except InfeasibleError:
             continue
         state.counters["dinkelbach_calls"] += 1
@@ -261,13 +269,13 @@ def _block_beams(state, ell, knobs, check_caps=True):
         if new_gain > 0 and new_sar * pf / new_gain \
                 <= sar[u, n] * pf / max(gamma[u, n], 1e-300) * (1.0 + REL_TOL):
             beams[u, n], gamma[u, n], sar[u, n] = beam, new_gain, new_sar
-    powers = _equality_powers(state, ell, gamma=gamma, shares=state.shares[ell])
+    powers = _equality_powers(state, ell, gamma)
     if check_caps and not _caps_ok(powers, p.p_max):
         return None
     return beams, gamma, sar, powers
 
 
-def _block_phases(state, ell, rng, knobs, check_caps=True):
+def _block_phases(state, ell, rng, check_caps):
     """Surface-phase refinement for one slot; returns candidate arrays or None."""
     sc = state.scenario
     p = sc.params
@@ -284,12 +292,11 @@ def _block_phases(state, ell, rng, knobs, check_caps=True):
         hdg, hd_f = state.channels.cascade_and_direct(ell, n, uu, f_vec)
         cascade[uu, n] = hdg
         direct[uu, n] = hd_f
-        c_un[uu, n] = math.sqrt(_power_factor(state.shares[ell, uu, n], p)
-                                * state.sar[ell, uu, n])
+        c_un[uu, n] = _exposure_weight(state, ell, uu, n)
     theta = optimize_phases(cascade, direct, delta, c_un,
                             PhaseShiftVector(state.thetas[ell]), rng,
-                            max_rounds=knobs.phase_rounds, i_gr=knobs.phase_draws,
-                            sdp_tol=knobs.sdp_tol)
+                            max_rounds=PHASE_ROUNDS, i_gr=PHASE_DRAWS,
+                            sdp_tol=SDP_TOL)
     state.counters["phase_calls"] += 1
     if np.allclose(theta.values, state.thetas[ell], rtol=0, atol=1e-15):
         return None
@@ -297,57 +304,10 @@ def _block_phases(state, ell, rng, knobs, check_caps=True):
     for uu, n in zip(*np.nonzero(delta)):
         h_eff = state.channels.effective(ell, n, uu, theta.values)
         gamma[uu, n] = channel_gain(h_eff, state.beams[ell, uu, n])
-    powers = _equality_powers(state, ell, gamma=gamma)
+    powers = _equality_powers(state, ell, gamma)
     if check_caps and not _caps_ok(powers, p.p_max):
         return None
     return theta.values, gamma, powers
-
-
-def _block_alloc(state, ell, knobs):
-    """Re-run the greedy allocator; returns candidate arrays or None."""
-    sc = state.scenario
-    p = sc.params
-    k1, k2 = p.ris_pathloss_exps
-    if p.num_ris_elements > 0:
-        owner = allocate(sc.rate_targets, state.channels.d_ur[ell],
-                         state.channels.d_rb[ell], k1, k2,
-                         p.bandwidth_per_re, p.num_subcarriers)
-    else:
-        owner = allocate(sc.rate_targets, np.ones(p.num_users), 1.0, 0.0, 0.0,
-                         p.bandwidth_per_re, p.num_subcarriers)
-    if np.array_equal(owner.delta, state.delta[ell]):
-        return None
-    delta = np.asarray(owner.delta, dtype=float)
-    counts = owner.counts
-    shares = np.zeros_like(state.shares[ell])
-    beams = state.beams[ell].copy()
-    gamma = state.gamma[ell].copy()
-    sar = state.sar[ell].copy()
-    for u in range(p.num_users):
-        mask = delta[u] > 0
-        shares[u, mask] = sc.rate_targets[u] / counts[u]
-    for u, n in zip(*np.nonzero(delta)):
-        consts = BeamConstants(rbar=float(shares[u, n]), sigma2=p.noise_per_re,
-                               bandwidth=p.bandwidth_per_re)
-        h_eff = state.channels.effective(ell, n, u, state.thetas[ell])
-        k_mat = h_eff.conj().T @ h_eff
-        try:
-            beam, _ = optimize_beamformer(k_mat, sc.sar_model, consts,
-                                          eps1=knobs.beam_eps)
-        except InfeasibleError:
-            return None
-        state.counters["dinkelbach_calls"] += 1
-        beams[u, n] = beam
-        gamma[u, n] = channel_gain(h_eff, beam)
-        sar[u, n] = _sar_of(beam, sc.sar_model)
-    try:
-        powers = _equality_powers(state, ell, delta=delta, shares=shares,
-                                  gamma=gamma)
-    except InfeasibleError:
-        return None
-    if not _caps_ok(powers, p.p_max):
-        return None
-    return delta, shares, beams, gamma, sar, powers
 
 
 def _block_power(state, ell):
@@ -374,6 +334,27 @@ def _block_power(state, ell):
         dropped = (row > 0) & (alloc.powers <= 0)
         delta[u, dropped] = 0.0
     return delta, shares, powers
+
+
+def _sweep_slots(state, phase_rngs, tune_phases, current, check_caps):
+    """Beams, then phases (when tuned), then powers, in every slot.
+
+    check_caps makes the beam and phase blocks reject a candidate that
+    breaks a power cap; without it the caller restores the caps itself.
+    Returns the exposure after the sweep.
+    """
+    for ell in range(state.scenario.num_slots):
+        cand = _block_beams(state, ell, check_caps)
+        current = _accept(state, ell, "beams", cand, current,
+                          ("beams", "gamma", "sar", "powers"))
+        if tune_phases:
+            cand = _block_phases(state, ell, phase_rngs[ell], check_caps)
+            current = _accept(state, ell, "phases", cand, current,
+                              ("thetas", "gamma", "powers"))
+        cand = _block_power(state, ell)
+        current = _accept(state, ell, "power", cand, current,
+                          ("delta", "shares", "powers"))
+    return current
 
 
 def _clone_state(state):
@@ -406,23 +387,20 @@ def _trajectory_field(state):
         b_un[ell, u, n] = b
         hd_f = ch.hd[ell, n, u] @ f_vec
         resid[ell, u, n] = float(np.vdot(hd_f, hd_f).real)
-        c_un[ell, u, n] = math.sqrt(_power_factor(state.shares[ell, u, n], p)
-                                    * state.sar[ell, u, n])
+        c_un[ell, u, n] = _exposure_weight(state, ell, u, n)
     k1, k2 = p.ris_pathloss_exps
     return GainField(state.delta.copy(), c_un, a_un, b_un, resid, k1, k2)
 
 
-def _block_trajectory(state, phase_rngs, knobs, enable_beams=True,
-                      enable_phases=True, enable_power=True):
+def _block_trajectory(state, phase_rngs, tune_phases):
     """Flight-path refinement; returns a complete candidate state or None.
 
     Moving the platform rotates every line-of-sight direction, so beams and
     phases tuned for the old geometry misalign at the new one.  The
     candidate therefore re-realizes the channels at the moved path and
-    re-runs the per-slot sub-blocks before it is scored against the
-    incumbent; acceptance stays a pure exposure comparison in the caller.
-    Only sub-blocks the surrounding run has enabled participate, so a
-    benchmark with pinned phases keeps them pinned across moves.
+    re-runs the slot sweep before it is scored against the incumbent;
+    acceptance stays a pure exposure comparison in the caller.  Pinned
+    phases stay pinned across moves.
     """
     sc = state.scenario
     p = sc.params
@@ -432,9 +410,9 @@ def _block_trajectory(state, phase_rngs, knobs, enable_beams=True,
     history = []
     new_traj = optimize_trajectory(
         state.trajectory, field_, sc.user_positions, sc.bs_position,
-        p.max_slot_distance, eps5=knobs.traj_eps5,
-        max_x_rounds=knobs.traj_x_rounds, max_sca_iters=knobs.traj_sca_iters,
-        barrier_tol=knobs.traj_barrier_tol, history=history)
+        p.max_slot_distance, eps5=TRAJ_EPS5, max_x_rounds=TRAJ_X_ROUNDS,
+        max_sca_iters=TRAJ_SCA_ITERS, barrier_tol=TRAJ_BARRIER_TOL,
+        history=history)
     state.counters["sca_iters"] += max(len(history) - 1, 0)
     if np.allclose(new_traj.points, state.trajectory, rtol=0, atol=1e-12):
         return None
@@ -442,93 +420,68 @@ def _block_trajectory(state, phase_rngs, knobs, enable_beams=True,
     cand.trajectory = new_traj.points
     cand.channels = state.channel_set.realize(new_traj.points)
     try:
-        for ell in range(p.num_slots):
-            _refresh_slot(cand, ell)
-            cand.powers[ell] = _equality_powers(cand, ell)
+        _refresh(cand)
     except InfeasibleError:
         return None
     # re-tune geometry-sensitive blocks at the new path (safeguarded on the
     # candidate's own exposure, caps restored by the power block)
-    current = cand.exposure()
-    for ell in range(p.num_slots):
-        if enable_beams:
-            ccand = _block_beams(cand, ell, knobs, check_caps=False)
-            current = _accept(cand, ell, "beams", ccand, current,
-                              ("beams", "gamma", "sar", "powers"))
-        if enable_phases:
-            ccand = _block_phases(cand, ell, phase_rngs[ell], knobs,
-                                  check_caps=False)
-            current = _accept(cand, ell, "phases", ccand, current,
-                              ("thetas", "gamma", "powers"))
-        if enable_power:
-            ccand = _block_power(cand, ell)
-            current = _accept(cand, ell, "power", ccand, current,
-                              ("delta", "shares", "powers"))
-    for ell in range(p.num_slots):
-        if not _caps_ok(cand.powers[ell], p.p_max):
-            return None
+    _sweep_slots(cand, phase_rngs, tune_phases, cand.exposure(), check_caps=False)
+    if not _caps_ok(cand.powers, p.p_max):
+        return None
     return cand
 
 
 def run_ao(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
-           enable_beams=True, enable_phases=True, enable_alloc=True,
-           enable_power=True, enable_trajectory=True, phase_mode="optimized",
-           label="proposed", channel_set=None):
-    """Full alternating optimization for one trial.
+           enable_trajectory=True, phase_mode="optimized", label="proposed",
+           channel_set=None):
+    """Full alternating optimization for one trial, from the straight path.
+
+    Initialization fixes the allocation by the greedy ranking; each outer
+    iteration then runs beams -> phases -> power in every slot, followed by
+    the flight-path block while enable_trajectory holds and fewer than
+    knobs.traj_outers iterations have run.
 
     phase_mode: "optimized" runs the phase sub-block; "zero" pins flat
     phases; "random" pins per-slot random phases from the trial's dedicated
     stream.  Returns (SolutionState, ExposureReport).
     """
-    knobs = knobs or AoKnobs()
-    p = scenario.params
     if channel_set is None:
         channel_set = ChannelSet(scenario, trial)
-    state = initialize_state(scenario, channel_set)
+    path = straight_trajectory(scenario.aris_start, scenario.aris_end,
+                               scenario.num_slots).points
+    state = initialize_state(scenario, channel_set, path)
+    path_outers = (knobs or AoKnobs()).traj_outers if enable_trajectory else 0
+    _outer_loop(state, trial, eps, max_outer, phase_mode, path_outers)
+    return state, state.report(label)
 
+
+def _outer_loop(state, trial, eps, max_outer, phase_mode, path_outers):
+    """run_ao's outer loop on an initialized state, which it refines in place;
+    the path block runs in the first path_outers outer iterations."""
+    sc = state.scenario
+    p = sc.params
+    if phase_mode not in ("optimized", "zero", "random"):
+        raise ValueError(f"unknown phase mode {phase_mode!r}")
     if phase_mode == "random" and p.num_ris_elements > 0:
         for ell in range(p.num_slots):
-            rng = rng_stream(scenario.rng_seed, trial, ell, 0, STREAM_RANDOM_PHASE)
+            rng = rng_stream(sc.rng_seed, trial, ell, 0, STREAM_RANDOM_PHASE)
             state.thetas[ell] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi,
                                                         p.num_ris_elements))
-            _refresh_slot(state, ell)
-            state.powers[ell] = _equality_powers(state, ell)
-        enable_phases = False
-        if not _caps_ok(state.powers.reshape(-1, p.num_subcarriers), p.p_max):
+        _refresh(state)
+        if not _caps_ok(state.powers, p.p_max):
             raise InfeasibleError("random-phase start exceeds the power cap")
-    elif phase_mode == "zero":
-        enable_phases = False
-    elif phase_mode != "optimized":
-        raise ValueError(f"unknown phase mode {phase_mode!r}")
-
-    phase_rngs = [rng_stream(scenario.rng_seed, trial, ell, 0, STREAM_GR)
+    tune_phases = phase_mode == "optimized"
+    phase_rngs = [rng_stream(sc.rng_seed, trial, ell, 0, STREAM_GR)
                   for ell in range(p.num_slots)]
 
     current = state.exposure()
     state.trace.append({"event": "init", "exposure": current})
     for outer in range(max_outer):
         start_exposure = current
-        for ell in range(p.num_slots):
-            if enable_beams:
-                cand = _block_beams(state, ell, knobs)
-                current = _accept(state, ell, "beams", cand, current,
-                                  ("beams", "gamma", "sar", "powers"))
-            if enable_phases:
-                cand = _block_phases(state, ell, phase_rngs[ell], knobs)
-                current = _accept(state, ell, "phases", cand, current,
-                                  ("thetas", "gamma", "powers"))
-            if enable_alloc:
-                cand = _block_alloc(state, ell, knobs)
-                current = _accept(state, ell, "allocation", cand, current,
-                                  ("delta", "shares", "beams", "gamma", "sar",
-                                   "powers"))
-            if enable_power:
-                cand = _block_power(state, ell)
-                current = _accept(state, ell, "power", cand, current,
-                                  ("delta", "shares", "powers"))
-        if enable_trajectory and outer < knobs.traj_outers:
-            cand = _block_trajectory(state, phase_rngs, knobs, enable_beams,
-                                     enable_phases, enable_power)
+        current = _sweep_slots(state, phase_rngs, tune_phases, current,
+                               check_caps=True)
+        if outer < path_outers:
+            cand = _block_trajectory(state, phase_rngs, tune_phases)
             if cand is not None:
                 candidate_exposure = cand.exposure()
                 if candidate_exposure <= current:
@@ -542,7 +495,6 @@ def run_ao(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
         state.trace.append({"event": "outer", "outer": outer, "exposure": current})
         if abs(start_exposure - current) <= eps * max(start_exposure, 1e-300):
             break
-    return state, state.report(label)
 
 
 def _accept(state, ell, name, cand, current, fields):
@@ -571,12 +523,11 @@ def _accept(state, ell, name, cand, current, fields):
 
 def baseline_no_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None):
     """Direct links only: the surface (and hence its phases and the flight
-    path) is removed; beams, allocation, and powers still optimize."""
+    path) is removed; beams and powers still optimize."""
     from .scenario import scenario_with
     bare = scenario_with(scenario, num_ris_elements=0)
     _, report = run_ao(bare, trial=trial, eps=eps, max_outer=max_outer,
-                       knobs=knobs, enable_phases=False,
-                       enable_trajectory=False, label="no-ris")
+                       knobs=knobs, enable_trajectory=False, label="no-ris")
     return report
 
 
@@ -597,9 +548,9 @@ def _hover_exposure(scenario, channel_set, position):
     so probes at different hover points legitimately share one set."""
     p = scenario.params
     pos = np.asarray([position[0], position[1], p.aris_height])
-    hover = dataclasses.replace(scenario, aris_start=pos, aris_end=pos)
     try:
-        state = initialize_state(hover, channel_set)
+        state = initialize_state(
+            scenario, channel_set, straight_trajectory(pos, pos, p.num_slots).points)
     except InfeasibleError:
         return np.inf
     return state.exposure()
@@ -652,8 +603,9 @@ def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
 
     The platform leaves its start point at full speed toward the hover
     position; slots before arrival count as travel.  Hover slots run the
-    full pipeline (fixed path), travel slots inherit the direct-only
-    benchmark's per-slot exposure.
+    full pipeline on the fixed path (run_ao's outer loop with the path
+    block off), travel slots inherit the direct-only benchmark's per-slot
+    exposure.
     """
     p = scenario.params
     channel_set = ChannelSet(scenario, trial)
@@ -666,37 +618,8 @@ def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
     travel = ~np.all(np.isclose(path, hover[None, :]), axis=1)
 
     pinned = dataclasses.replace(scenario, aris_start=path[0], aris_end=path[-1])
-    state = initialize_state(pinned, channel_set)
-    state.trajectory = path
-    state.channels = state.channel_set.realize(path)
-    for ell in range(p.num_slots):
-        _refresh_slot(state, ell)
-        state.powers[ell] = _equality_powers(state, ell)
-
-    # refine everything except the (fixed) path, reusing the AO loop by
-    # holding the trajectory block off
-    knobs = knobs or AoKnobs()
-    phase_rngs = [rng_stream(pinned.rng_seed, trial, ell, 0, STREAM_GR)
-                  for ell in range(p.num_slots)]
-    current = state.exposure()
-    for _ in range(max_outer):
-        start_exposure = current
-        for ell in range(p.num_slots):
-            cand = _block_beams(state, ell, knobs)
-            current = _accept(state, ell, "beams", cand, current,
-                              ("beams", "gamma", "sar", "powers"))
-            cand = _block_phases(state, ell, phase_rngs[ell], knobs)
-            current = _accept(state, ell, "phases", cand, current,
-                              ("thetas", "gamma", "powers"))
-            cand = _block_alloc(state, ell, knobs)
-            current = _accept(state, ell, "allocation", cand, current,
-                              ("delta", "shares", "beams", "gamma", "sar",
-                               "powers"))
-            cand = _block_power(state, ell)
-            current = _accept(state, ell, "power", cand, current,
-                              ("delta", "shares", "powers"))
-        if abs(start_exposure - current) <= eps * max(start_exposure, 1e-300):
-            break
+    state = initialize_state(pinned, channel_set, path)
+    _outer_loop(state, trial, eps, max_outer, "optimized", path_outers=0)
 
     per_user = state.per_user_exposure()
     rates = state.achieved_rates()

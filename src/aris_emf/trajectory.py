@@ -113,11 +113,6 @@ class GainField:
         return float(np.sum(c * x))
 
 
-def quad_transform_x(c_un, gamma_un):
-    """Auxiliary ratio weights x = c / gamma (closed form of the transform)."""
-    return quad_transform_y(c_un, gamma_un)
-
-
 def linearize_gain_terms(a_un, b_un, u0, v0, kappa1, kappa2):
     """Tangent planes at (u0, v0) of the two distance power laws.
 
@@ -156,7 +151,7 @@ def make_sca_state(points, gain_field, user_positions, bs_position):
     mask = np.asarray(gain_field.delta) > 0
     if np.any(mask):
         gains = gain_field.gains(d_ur, d_rb)
-        x[mask] = quad_transform_x(gain_field.c_un[mask], gains[mask])
+        x[mask] = quad_transform_y(gain_field.c_un[mask], gains[mask])
     return ScaState(pts, d_ur * (1.0 + SLACK_LIFT), d_rb * (1.0 + SLACK_LIFT), x,
                     gain_field.proxy(d_ur, d_rb))
 
@@ -382,7 +377,7 @@ def optimize_trajectory(points, gain_field, user_positions, bs_position, max_ste
         x_aux = np.zeros_like(state.x_aux)
         mask = np.asarray(gain_field.delta) > 0
         if np.any(mask):
-            x_aux[mask] = quad_transform_x(gain_field.c_un[mask], gains[mask])
+            x_aux[mask] = quad_transform_y(gain_field.c_un[mask], gains[mask])
         if x_prev is not None:
             drift = float(np.linalg.norm(x_aux - x_prev))
             if drift <= eps5 * max(1e-300, float(np.linalg.norm(x_prev))):

@@ -28,7 +28,7 @@ from aris_emf.trajectory import (
     linearize_gain_terms,
     make_sca_state,
     optimize_trajectory,
-    quad_transform_x,
+    quad_transform_y,
     sca_step,
     straight_trajectory,
 )

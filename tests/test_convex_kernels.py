@@ -191,6 +191,18 @@ def test_barrier_infeasible_start_rejected():
         solve_convex_program(prog, np.array([5.0]))
 
 
+def test_barrier_nan_start_rejected():
+    # log(x) - 1 <= 0 is undefined at x = -1: a NaN constraint value is not
+    # a strictly feasible start, although NaN >= 0 is false
+    prog = ConvexProgram(dim=1,
+                         objective=lambda x: (float(x[0]), np.ones(1), np.zeros((1, 1))),
+                         constraints=[lambda x: (float(np.log(x[0])) - 1.0,
+                                                 1.0 / x, -np.diag(1.0 / x ** 2))])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        with pytest.raises(ConvexSolverError, match="infeasible start"):
+            solve_convex_program(prog, np.array([-1.0]))
+
+
 def test_barrier_finite_difference_hessian_path():
     # gradient-only evaluators exercise the finite-difference fallback
     c = np.array([3.0, 0.0])

@@ -15,13 +15,19 @@ from aris_emf.orchestrator import (
 )
 from aris_emf.channel import ChannelSet
 from aris_emf.scenario import Scenario, SystemParams, desk_scenario
+from aris_emf.trajectory import straight_trajectory
 
 FAST = AoKnobs(traj_outers=1)
 
 
+def straight_path(scenario):
+    return straight_trajectory(scenario.aris_start, scenario.aris_end,
+                               scenario.num_slots).points
+
+
 def make_state(scenario, trial=0):
     cs = ChannelSet(scenario, trial)
-    return initialize_state(scenario, cs)
+    return initialize_state(scenario, cs, straight_path(scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +78,30 @@ def test_infeasible_initialization_names_users():
         make_state(sc)
 
 
+def test_initialization_realizes_channels_at_the_given_path():
+    sc = desk_scenario()
+    path = straight_path(sc).copy()
+    path[1:-1, 0] += 10.0
+    state = initialize_state(sc, ChannelSet(sc, 0), path)
+    np.testing.assert_array_equal(state.channels.trajectory, path)
+    np.testing.assert_array_equal(state.trajectory, path)
+
+
+def test_initialization_checks_caps_at_the_given_path():
+    # a cap the straight start meets, broken by a start parked elsewhere
+    sc = desk_scenario()
+    pos = np.array([-50.0, -50.0, sc.params.aris_height])
+    parked = straight_trajectory(pos, pos, sc.num_slots).points
+    straight_spend = make_state(sc).powers.sum(axis=2).max()
+    parked_state = initialize_state(sc, ChannelSet(sc, 0), parked)
+    parked_spend = parked_state.powers.sum(axis=2).max()
+    assert parked_spend > 1.001 * straight_spend
+    capped = desk_scenario(p_max=1.0001 * straight_spend)
+    make_state(capped)
+    with pytest.raises(InfeasibleError, match=r"power cap for users \[\d"):
+        initialize_state(capped, ChannelSet(capped, 0), parked)
+
+
 def test_initialization_requires_enough_resource_elements():
     with pytest.raises(InfeasibleError):
         make_state(desk_scenario(num_users=4, num_subcarriers=3,
@@ -96,13 +126,12 @@ def test_desk_run_never_increases_exposure():
                                    rtol=1e-6)
 
 
-def test_all_blocks_disabled_leaves_exposure_unchanged():
+def test_run_starts_from_the_straight_line_initialization():
     sc = desk_scenario()
-    state, _ = run_ao(sc, trial=0, max_outer=1, enable_beams=False,
-                      enable_phases=False, enable_alloc=False,
-                      enable_power=False, enable_trajectory=False)
+    state, _ = run_ao(sc, trial=0, max_outer=1, enable_trajectory=False)
     init = next(e["exposure"] for e in state.trace if e["event"] == "init")
-    assert state.exposure() == init
+    expected = initialize_state(sc, ChannelSet(sc, 0), straight_path(sc))
+    assert init == expected.exposure()
 
 
 @pytest.mark.slow

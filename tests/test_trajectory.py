@@ -13,7 +13,7 @@ from aris_emf.trajectory import (
     linearize_gain_terms,
     make_sca_state,
     optimize_trajectory,
-    quad_transform_x,
+    quad_transform_y,
     sca_step,
     straight_trajectory,
 )
@@ -42,13 +42,13 @@ def proxy_at(field, points, users):
 
 
 def test_ratio_weights_match_closed_form():
-    assert quad_transform_x(2.0, 4.0) == pytest.approx(0.5)
-    assert quad_transform_x(0.0, 3.0) == 0.0
+    assert quad_transform_y(2.0, 4.0) == pytest.approx(0.5)
+    assert quad_transform_y(0.0, 3.0) == 0.0
     np.testing.assert_allclose(
-        quad_transform_x(np.array([1.0, 3.0]), np.array([2.0, 0.5])),
+        quad_transform_y(np.array([1.0, 3.0]), np.array([2.0, 0.5])),
         [0.5, 6.0])
     with pytest.raises(InfeasibleError):
-        quad_transform_x(1.0, 0.0)
+        quad_transform_y(1.0, 0.0)
 
 
 def test_tangent_matches_value_at_expansion():
@@ -234,7 +234,7 @@ def test_slacks_stay_feasible_after_step():
     d_ur, d_rb = link_distances(pts, users, BS)
     x = np.zeros_like(field.c_un)
     mask = field.delta > 0
-    x[mask] = quad_transform_x(field.c_un[mask],
+    x[mask] = quad_transform_y(field.c_un[mask],
                                field.gains(d_ur, d_rb)[mask])
     from dataclasses import replace
     state = replace(state, x_aux=x)
