@@ -44,6 +44,8 @@ class SdpProblem:
         r = np.asarray(self.r, dtype=complex)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError("objective matrix must be square")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("objective matrix has non-finite entries")
         herm_err = np.max(np.abs(r - r.conj().T))
         scale = max(1.0, float(np.max(np.abs(r))))
         if herm_err > 1e-12 * scale:
@@ -52,7 +54,8 @@ class SdpProblem:
 
 
 def _min_eig_ratio(inv_l, delta):
-    """Largest step a with x + a*delta staying PSD, given inv(chol(x))."""
+    """Largest step a with x + a*delta staying PSD, given any inv_l with
+    inv_l^H inv_l = x^-1 (inv(chol(x)) or x^-1/2)."""
     c = inv_l @ delta @ inv_l.conj().T
     lo = float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
     if lo >= -1e-300:
@@ -122,15 +125,12 @@ def solve_sdp(problem, tol=1e-7, max_iter=100):
             m_mat = np.abs(w_mat) ** 2
             m_fact = m_mat + 1e-15 * np.eye(n) * max(1.0, m_mat.max())
             s_inv = (vs / ws) @ vs.conj().T
-
-            eye = np.eye(n, dtype=complex)
-            x_il = np.linalg.solve(np.linalg.cholesky(0.5 * (x + x.conj().T)), eye)
-            s_il = np.linalg.solve(np.linalg.cholesky(0.5 * (s + s.conj().T)), eye)
+            x_il = np.linalg.inv(np.linalg.cholesky(0.5 * (x + x.conj().T)))
 
             # predictor
             dx_a, dy_a, ds_a = solve_direction(w_mat, m_fact, -x)
             ap = min(1.0, tau * _min_eig_ratio(x_il, dx_a))
-            ad = min(1.0, tau * _min_eig_ratio(s_il, ds_a))
+            ad = min(1.0, tau * _min_eig_ratio(s_ihalf, ds_a))
             mu_aff = float(np.vdot(x + ap * dx_a, s + ad * ds_a).real) / n
             sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-4, 0.99))
 
@@ -138,7 +138,7 @@ def solve_sdp(problem, tol=1e-7, max_iter=100):
             target = sigma * mu * s_inv - x
             dx, dy, ds = solve_direction(w_mat, m_fact, target)
             ap = min(1.0, tau * _min_eig_ratio(x_il, dx))
-            ad = min(1.0, tau * _min_eig_ratio(s_il, ds))
+            ad = min(1.0, tau * _min_eig_ratio(s_ihalf, ds))
         except np.linalg.LinAlgError as exc:
             raise SdpError(f"numerical breakdown at iteration {it}: {exc} "
                            f"(gap {gap:.3g}, primal residual {rp_inf:.3g})") from None

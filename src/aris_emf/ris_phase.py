@@ -4,12 +4,14 @@ The exposure contribution of each allocated (user, resource element) link is
 the ratio c^2 / gamma(theta) with c = sqrt(power_factor * SAR) fixed while
 phases are optimized.  The sum of ratios is handled with the quadratic
 transform (auxiliary y = c / gamma), which turns each round into maximizing
-a single Hermitian quadratic form over unit-modulus phases.  Lifting theta
-to homogeneous coordinates makes that a rank-constrained trace problem; the
-rank constraint is dropped, the resulting SDP solved, and a feasible phase
-vector recovered by Gaussian randomization.  A new phase vector is accepted
-only if the true objective does not increase, so the outer loop is monotone
-by construction.
+a single Hermitian quadratic form over unit-modulus phases.  Only the
+allocated (active) links enter: the form's matrix is one weighted Gram of
+their stacked cascades, and their gains are one batched matrix product.
+Lifting theta to homogeneous coordinates makes that a rank-constrained trace
+problem; the rank constraint is dropped, the resulting SDP solved, and a
+feasible phase vector recovered by Gaussian randomization.  A new phase
+vector is accepted only if the true objective does not increase, so the
+outer loop is monotone by construction.
 """
 
 from __future__ import annotations
@@ -79,41 +81,20 @@ def quad_transform_y(c_un, gamma_un):
     return y
 
 
-def lifting_terms(cascade, direct):
-    """Quadratic expansion of gamma(theta) = ||C theta + d||^2 for one link.
+def lifting_matrix(cascade, direct, w):
+    """Weighted homogeneous quadratic form of the active links, as one Gram.
 
-    Returns (a, b, resid) with gamma = theta^H a theta + 2 Re{theta^H b} + resid.
+    cascade: (L, M_r, N); direct: (L, M_r); w: (L,) nonnegative weights.  The
+    result R is (N+1, N+1) Hermitian with [theta; 1]^H R [theta; 1]
+    = sum_l w_l (||C_l theta + d_l||^2 - ||d_l||^2).  The A block is
+    X^H X with X the sqrt(w)-weighted cascades stacked to (L*M_r, N), and the
+    border is one matvec, so no per-link N x N block is ever formed.
     """
-    c = np.asarray(cascade)
-    d = np.asarray(direct)
-    if c.ndim != 2 or d.shape != (c.shape[0],):
-        raise ValueError(f"cascade {c.shape} and direct {d.shape} do not agree")
-    a = c.conj().T @ c
-    b = c.conj().T @ d
-    return 0.5 * (a + a.conj().T), b, float(np.vdot(d, d).real)
-
-
-def build_lifting_matrix(delta, y, a_un, b_un):
-    """Weighted homogeneous quadratic form of all allocated links.
-
-    delta, y: (U, N_c); a_un: (U, N_c, N, N); b_un: (U, N_c, N).  The result
-    R is (N+1, N+1) Hermitian with [theta; 1]^H R [theta; 1]
-    = sum delta*y^2*(theta^H a theta + 2 Re{theta^H b}).
-    """
-    delta = np.asarray(delta, dtype=float)
-    y = np.asarray(y, dtype=float)
-    a_un = np.asarray(a_un)
-    b_un = np.asarray(b_un)
-    if a_un.shape[:2] != delta.shape or b_un.shape[:2] != delta.shape:
-        raise ValueError("per-link arrays do not share the (U, N_c) leading shape")
-    if y.shape != delta.shape:
-        raise ValueError("y and delta shapes differ")
-    n = b_un.shape[-1]
-    if a_un.shape[2:] != (n, n):
-        raise ValueError(f"a-blocks {a_un.shape[2:]} do not match b-vectors of size {n}")
-    w = delta * y ** 2
-    a = np.einsum("un,unij->ij", w, a_un)
-    b = np.einsum("un,uni->i", w, b_un)
+    n = cascade.shape[-1]
+    flat = cascade.reshape(-1, n)
+    scaled = (np.sqrt(w)[:, None, None] * cascade).reshape(-1, n)
+    a = scaled.conj().T @ scaled
+    b = flat.conj().T @ (w[:, None] * direct).reshape(-1)
     r = np.zeros((n + 1, n + 1), dtype=complex)
     r[:n, :n] = 0.5 * (a + a.conj().T)
     r[:n, n] = b
@@ -166,12 +147,6 @@ def gaussian_randomization(theta_bar, r_mat, i_gr, rng):
     return PhaseShiftVector(theta[int(np.argmax(scores))])
 
 
-def _link_gains(cascade, direct, theta):
-    """gamma for every (user, RE) link at the given phases."""
-    reflected = np.einsum("unmi,i->unm", cascade, theta) + direct
-    return np.einsum("unm,unm->un", reflected.conj(), reflected).real
-
-
 def proxy_exposure(delta, c_un, gamma_un):
     """sum over allocated links of c^2 / gamma (the quantity phases minimize)."""
     delta = np.asarray(delta, dtype=float)
@@ -192,35 +167,35 @@ def optimize_phases(cascade, direct, delta, c_un, theta0, rng, eps2=1e-5,
     cascade: (U, N_c, M_r, N) per-link reflected-path matrices; direct:
     (U, N_c, M_r) per-link direct-path vectors (both already include the
     current beamformers); delta: (U, N_c) allocation; c_un: (U, N_c) square
-    roots of power_factor * SAR at the current beamformers.  Returns a
+    roots of power_factor * SAR at the current beamformers.  Only the links
+    with delta > 0 are read: the work runs on their stacks, and each round's
+    lifted matrix is one weighted Gram of them (`lifting_matrix`).  Returns a
     PhaseShiftVector whose proxy exposure never exceeds theta0's.
     """
-    cascade = np.asarray(cascade)
-    direct = np.asarray(direct)
     delta = np.asarray(delta, dtype=float)
-    c_arr = np.asarray(c_un, dtype=float)
     theta = np.asarray(theta0.values if isinstance(theta0, PhaseShiftVector) else theta0,
                        dtype=complex)
-    n = cascade.shape[-1]
+    n = np.shape(cascade)[-1]
     if theta.shape != (n,):
         raise ValueError(f"theta0 has shape {theta.shape}, surface has {n} elements")
-    if n == 0:
-        return PhaseShiftVector(theta)
-
     mask = delta > 0
-    if not np.any(mask):
+    if n == 0 or not np.any(mask):
         return PhaseShiftVector(theta)
 
-    a_un = np.einsum("unmi,unmj->unij", cascade.conj(), cascade)
-    b_un = np.einsum("unmi,unm->uni", cascade.conj(), direct)
+    cascade = np.asarray(cascade)[mask]          # (L, M_r, N)
+    direct = np.asarray(direct)[mask]            # (L, M_r)
+    delta = delta[mask]
+    c_arr = np.asarray(c_un, dtype=float)[mask]
 
-    gains = _link_gains(cascade, direct, theta)
+    def link_gains(phases):
+        return np.sum(np.abs(cascade @ phases + direct) ** 2, axis=-1)
+
+    gains = link_gains(theta)
     best = proxy_exposure(delta, c_arr, gains)
-    y = np.zeros_like(c_arr)
-    y[mask] = quad_transform_y(c_arr[mask], gains[mask])
+    y = quad_transform_y(c_arr, gains)
 
     for _ in range(max_rounds):
-        r = build_lifting_matrix(delta, y, a_un, b_un)
+        r = lifting_matrix(cascade, direct, delta * y ** 2)
         try:
             lifted = solve_relaxation(r, tol=sdp_tol)
         except SdpError as exc:
@@ -228,7 +203,7 @@ def optimize_phases(cascade, direct, delta, c_un, theta0, rng, eps2=1e-5,
                           RuntimeWarning, stacklevel=2)
             return PhaseShiftVector(theta)
         candidate = gaussian_randomization(lifted.theta_bar, r, i_gr, rng)
-        cand_gains = _link_gains(cascade, direct, candidate.values)
+        cand_gains = link_gains(candidate.values)
         try:
             cand_val = proxy_exposure(delta, c_arr, cand_gains)
         except InfeasibleError:
@@ -237,8 +212,7 @@ def optimize_phases(cascade, direct, delta, c_un, theta0, rng, eps2=1e-5,
             theta = candidate.values
             gains = cand_gains
             best = cand_val
-        y_new = np.zeros_like(c_arr)
-        y_new[mask] = quad_transform_y(c_arr[mask], gains[mask])
+        y_new = quad_transform_y(c_arr, gains)
         shift = float(np.linalg.norm(y_new - y))
         y = y_new
         if shift <= eps2 * max(1.0, float(np.linalg.norm(y))):

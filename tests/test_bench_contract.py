@@ -7,11 +7,13 @@ than only when the benchmark runs.  perfbench/ is imported, never changed.
 """
 
 import importlib.util
+import inspect
 from contextlib import ExitStack
 from pathlib import Path
 
 from aris_emf.harness import MC_EPS, MC_KNOBS
 from aris_emf.orchestrator import baseline_fixed_ris, run_ao
+from aris_emf.ris_phase import optimize_phases
 from aris_emf.scenario import desk_scenario
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -45,3 +47,8 @@ def test_output_checks_pass_on_the_fixed_surface_report():
     report = baseline_fixed_ris(sc, trial=0, eps=MC_EPS, max_outer=1,
                                 knobs=MC_KNOBS)
     checks.check_report(report, sc)
+
+
+def test_phase_tracer_reads_theta0_as_fifth_positional():
+    # instrument._theta0 reads args[4]; a reorder would miscount `.changed`
+    assert list(inspect.signature(optimize_phases).parameters)[4] == "theta0"

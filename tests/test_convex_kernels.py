@@ -63,6 +63,32 @@ def test_sdp_rejects_non_hermitian():
         SdpProblem(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+def test_sdp_rejects_non_finite():
+    r = np.eye(3, dtype=complex)
+    for bad in (np.nan, np.inf):
+        r[1, 2] = r[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SdpProblem(r)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_sdp(r)
+
+
+def test_sdp_at_full_surface_dimension():
+    # N + 1 = 81: the dimension of the full-scale phase relaxation
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(81, 81)) + 1j * rng.normal(size=(81, 81))
+    r = a @ a.conj().T
+    tol = 1e-6
+    x, value = solve_sdp(r, tol=tol)
+    assert np.array_equal(x, x.conj().T)
+    assert np.max(np.abs(np.diag(x) - 1.0)) <= tol
+    assert np.linalg.eigvalsh(x)[0] >= -1e-9 * np.trace(x).real
+    assert value == pytest.approx(float(np.vdot(r, x).real), rel=1e-9)
+    for _ in range(100):
+        lifted = np.append(np.exp(2j * np.pi * rng.uniform(size=80)), 1.0)
+        assert value >= float((lifted.conj() @ r @ lifted).real)
+
+
 def test_sdp_dimension_cap():
     with pytest.raises(ValueError, match="maximum"):
         solve_sdp(np.zeros((300, 300)))

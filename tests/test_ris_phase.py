@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +10,56 @@ from aris_emf.exposure import InfeasibleError
 from aris_emf.ris_phase import (
     LiftedSolution,
     PhaseShiftVector,
-    build_lifting_matrix,
     gaussian_randomization,
-    lifting_terms,
+    lifting_matrix,
     optimize_phases,
     proxy_exposure,
     quad_transform_y,
     solve_relaxation,
     uniform_phases,
 )
+
+
+def lifting_terms(cascade, direct):
+    """Quadratic expansion of gamma(theta) = ||C theta + d||^2 for one link.
+
+    Returns (a, b, resid) with gamma = theta^H a theta + 2 Re{theta^H b} + resid.
+    """
+    c = np.asarray(cascade)
+    d = np.asarray(direct)
+    if c.ndim != 2 or d.shape != (c.shape[0],):
+        raise ValueError(f"cascade {c.shape} and direct {d.shape} do not agree")
+    a = c.conj().T @ c
+    b = c.conj().T @ d
+    return 0.5 * (a + a.conj().T), b, float(np.vdot(d, d).real)
+
+
+def build_lifting_matrix(delta, y, a_un, b_un):
+    """Oracle for `lifting_matrix`, summed from per-link blocks.
+
+    delta, y: (U, N_c); a_un: (U, N_c, N, N); b_un: (U, N_c, N).  The result
+    R is (N+1, N+1) Hermitian with [theta; 1]^H R [theta; 1]
+    = sum delta*y^2*(theta^H a theta + 2 Re{theta^H b}).
+    """
+    delta = np.asarray(delta, dtype=float)
+    y = np.asarray(y, dtype=float)
+    a_un = np.asarray(a_un)
+    b_un = np.asarray(b_un)
+    if a_un.shape[:2] != delta.shape or b_un.shape[:2] != delta.shape:
+        raise ValueError("per-link arrays do not share the (U, N_c) leading shape")
+    if y.shape != delta.shape:
+        raise ValueError("y and delta shapes differ")
+    n = b_un.shape[-1]
+    if a_un.shape[2:] != (n, n):
+        raise ValueError(f"a-blocks {a_un.shape[2:]} do not match b-vectors of size {n}")
+    w = delta * y ** 2
+    a = np.einsum("un,unij->ij", w, a_un)
+    b = np.einsum("un,uni->i", w, b_un)
+    r = np.zeros((n + 1, n + 1), dtype=complex)
+    r[:n, :n] = 0.5 * (a + a.conj().T)
+    r[:n, n] = b
+    r[n, :n] = b.conj()
+    return r
 
 
 def random_links(rng, users=2, res=2, ants=2, elems=4, scale=1.0):
@@ -119,6 +161,25 @@ def test_lifting_matrix_shape_mismatch():
     with pytest.raises(ValueError):
         build_lifting_matrix(np.ones((2, 2)), np.ones((2, 2)),
                              np.zeros((2, 2, 4, 4)), np.zeros((2, 2, 5)))
+
+
+def test_gram_lifting_matrix_matches_per_link_oracle():
+    rng = np.random.default_rng(15)
+    users, res, elems = 3, 5, 7
+    cascade, direct = random_links(rng, users=users, res=res, ants=3, elems=elems)
+    delta = (rng.uniform(size=(users, res)) < 0.6).astype(float)
+    delta[0, 0], delta[0, 1] = 0.0, 1.0
+    y = rng.uniform(0.1, 2.0, size=(users, res))
+    a_un = np.empty((users, res, elems, elems), dtype=complex)
+    b_un = np.empty((users, res, elems), dtype=complex)
+    for u in range(users):
+        for n in range(res):
+            a_un[u, n], b_un[u, n], _ = lifting_terms(cascade[u, n], direct[u, n])
+    want = build_lifting_matrix(delta, y, a_un, b_un)
+    mask = delta > 0
+    got = lifting_matrix(cascade[mask], direct[mask], delta[mask] * y[mask] ** 2)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(got, got.conj().T)
 
 
 def test_phase_vector_validation_and_identity():
@@ -233,6 +294,25 @@ def test_optimize_phases_near_exhaustive_tiny_instance():
     gains = np.einsum("kunm,kunm->ku", out.conj(), out).real
     best = float((c_un[0, 0] ** 2 / gains[:, 0]).min())
     assert got <= 1.10 * best
+
+
+def test_optimize_phases_ignores_inactive_links():
+    rng = np.random.default_rng(16)
+    cascade, direct = random_links(rng, users=3, res=4, ants=2, elems=5)
+    delta = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    c_un = rng.uniform(0.5, 2.0, size=delta.shape) * delta
+    idle = delta == 0
+    zeroed_c, zeroed_d = cascade.copy(), direct.copy()
+    zeroed_c[idle], zeroed_d[idle] = 0.0, 0.0
+    nan_c, nan_d = cascade.copy(), direct.copy()
+    nan_c[idle], nan_d[idle] = np.nan, np.nan
+    want = optimize_phases(zeroed_c, zeroed_d, delta, c_un, uniform_phases(5),
+                           np.random.default_rng(17), i_gr=20, max_rounds=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = optimize_phases(nan_c, nan_d, delta, c_un, uniform_phases(5),
+                              np.random.default_rng(17), i_gr=20, max_rounds=3)
+    assert np.array_equal(got.values, want.values)
 
 
 def test_optimize_phases_huge_tolerance_stops_after_one_round():
