@@ -1,9 +1,9 @@
 """Per-resource-element transmit beamformer search.
 
 A two-antenna beamformer is parametrized by the second antenna's power
-weight alpha2 and relative phase beta2 (the first antenna is pinned to
-weight 1, phase 0).  For one user on one resource element the quantity to
-minimize is the exposure-per-gain ratio
+weight alpha2 in [0, ALPHA2_MAX] and relative phase beta2 (the first
+antenna is pinned to weight 1, phase 0).  For one user on one resource
+element the quantity to minimize is the exposure-per-gain ratio
 
     power_factor * SAR(alpha, beta2) / gamma(alpha, beta2; K),
 
@@ -12,12 +12,16 @@ unit-gain channel would need to carry the rate share rbar, SAR is the
 reference-exposure polynomial, and gamma the beamforming gain against the
 Gram matrix K of the effective channel.
 
-The ratio is driven to its fixed point with Dinkelbach iterations: solve
-min_x N(x) - lam*D(x), update lam = N/D at the minimizer, repeat until lam
-stalls.  The inner problem is nonconvex in beta2 (SAR harmonics), so it is
-solved by a coarse grid sweep refined with a Nelder-Mead polish; the
-previous iterate is always kept as a candidate so the lam sequence is
-non-increasing by construction.
+Put s = sqrt(alpha2).  At a fixed beta2 both SAR = n0 + n1*s + n2*s**2 and
+gamma = d0 + d1*s + d2*s**2 are quadratics in s, so d/ds (SAR/gamma) = 0 is
+the quadratic
+
+    (n2*d1 - n1*d2)*s**2 + 2*(n2*d0 - n0*d2)*s + (n1*d0 - n0*d1) = 0,
+
+and the exact minimum over s lies at an end of [0, sqrt(ALPHA2_MAX)] or at
+one of its real roots inside.  What is left is a search in beta2 alone: the
+closed-form minimum over s on a fixed beta2 grid, then nested grid
+refinements around the best phase, each keeping the best point found so far.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import TWO_PI, Beamformer, gain_from_quadratic
-from .exposure import InfeasibleError, reference_sar
+from .channel import TWO_PI, Beamformer
+from .exposure import ALPHA2_MAX, InfeasibleError, sar_harmonic
 
-ALPHA2_MAX = 4.0
-GRID_SIZE = 64
+BETA_GRID = 256       # coarse beta2 points over [0, 2pi)
+REFINE_PASSES = 4     # nested refinements around the best phase so far
+REFINE_POINTS = 33    # points per pass, spanning one step of the previous grid each way
+S_MAX = math.sqrt(ALPHA2_MAX)
 
 
 @dataclass(frozen=True)
@@ -58,21 +64,13 @@ class BeamConstants:
 
 @dataclass(frozen=True)
 class DinkelbachState:
-    """Final ratio value, iterate, and trace of one beamformer search."""
+    """Final ratio value, beamformer, and per-pass trace of one beam search."""
 
     lam: float
     beamformer: Beamformer
     iterations: int
     converged: bool
     lam_history: tuple
-
-
-def dinkelbach_objective(alpha, beta, lam, k_mat, model, rbar, sigma2, w, delta):
-    """delta * (sigma2*(2**(rbar/w)-1) * SAR(alpha,beta) - lam*gamma(alpha,beta;K))."""
-    c = sigma2 * (2.0 ** (rbar / w) - 1.0)
-    sar = reference_sar(model, np.asarray(alpha, dtype=float), beta[1])
-    gam = gain_from_quadratic(np.asarray(k_mat), alpha, beta)
-    return float(delta * (c * sar - lam * gam))
 
 
 def _pair_terms(k_mat):
@@ -97,163 +95,63 @@ def pair_gain(k_mat, alpha2, beta2):
 
 
 @lru_cache(maxsize=8)
-def _sar_grid(model, grid, alpha2_max):
-    a2 = np.linspace(0.0, alpha2_max, grid)
-    b2 = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    alpha = np.stack([np.ones((grid, grid)), np.broadcast_to(a2, (grid, grid))])
-    sar = reference_sar(model, alpha, b2[:, None])
-    return a2, b2, sar
+def _coarse_grid(model):
+    beta = np.linspace(0.0, TWO_PI, BETA_GRID, endpoint=False)
+    return beta, sar_harmonic(model, beta)
 
 
-def _scalar_objective(c, lam, k11, k22, k12a, k12p, b):
-    """Pure-float objective evaluator for the simplex polish."""
+def _min_over_s(b, harm, beta, k11, k22, k12a, k12p):
+    """Exact minimum of SAR/gamma over s in [0, S_MAX] at each phase in beta.
 
-    def fn(a2, b2):
-        cross = math.sqrt(a2)
-        sar = b[0] + b[1] * cross + b[2] * a2
-        env = b[3] + b[4] * cross + b[5] * a2
-        if env != 0.0:
-            harm = 0.0
-            for k in range(7):
-                if b[6 + k] != 0.0:
-                    harm += b[6 + k] * math.cos(k * b2 + b[13 + k])
-            sar += env * harm
-        gam = k11 + a2 * k22 + 2.0 * cross * k12a * math.cos(b2 + k12p)
-        return c * sar - lam * gam
-
-    return fn
-
-
-def _nelder_mead(fn, x0, steps, tol=1e-6, max_iter=200):
-    """Minimize a 2-D function with the standard reflect/expand/contract/shrink
-    simplex; the best vertex never worsens, so the result is <= fn(x0)."""
-    pts = [x0, (x0[0] + steps[0], x0[1]), (x0[0], x0[1] + steps[1])]
-    vals = [fn(*p) for p in pts]
-    for _ in range(max_iter):
-        order = sorted(range(3), key=vals.__getitem__)
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        spread = max(max(abs(p[0] - pts[0][0]), abs(p[1] - pts[0][1])) for p in pts[1:])
-        if spread <= tol:
-            break
-        cx = 0.5 * (pts[0][0] + pts[1][0])
-        cy = 0.5 * (pts[0][1] + pts[1][1])
-        xr = (cx + (cx - pts[2][0]), cy + (cy - pts[2][1]))
-        fr = fn(*xr)
-        if fr < vals[0]:
-            xe = (cx + 2.0 * (cx - pts[2][0]), cy + 2.0 * (cy - pts[2][1]))
-            fe = fn(*xe)
-            pts[2], vals[2] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < vals[1]:
-            pts[2], vals[2] = xr, fr
-        else:
-            if fr < vals[2]:
-                xc = (cx + 0.5 * (xr[0] - cx), cy + 0.5 * (xr[1] - cy))
-            else:
-                xc = (cx + 0.5 * (pts[2][0] - cx), cy + 0.5 * (pts[2][1] - cy))
-            fc = fn(*xc)
-            if fc < min(fr, vals[2]):
-                pts[2], vals[2] = xc, fc
-            else:
-                for i in (1, 2):
-                    pts[i] = (0.5 * (pts[i][0] + pts[0][0]),
-                              0.5 * (pts[i][1] + pts[0][1]))
-                    vals[i] = fn(*pts[i])
-    best = min(range(3), key=vals.__getitem__)
-    return pts[best], vals[best]
+    harm is the SAR's harmonic series at beta.  Returns (ratio, s); the
+    ratio is inf where no s gives positive gain.
+    """
+    n0, n1, n2 = b[0] + b[3] * harm, b[1] + b[4] * harm, b[2] + b[5] * harm
+    d0, d1, d2 = k11, 2.0 * k12a * np.cos(beta + k12p), k22
+    qa, qb, qc = n2 * d1 - n1 * d2, n2 * d0 - n0 * d2, n1 * d0 - n0 * d1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # roots of qa*s**2 + 2*qb*s + qc in the cancellation-free form; NaN,
+        # inf and out-of-box roots fall back to the s = 0 candidate
+        q = -(qb + np.copysign(np.sqrt(qb * qb - qa * qc), qb))
+        s = np.stack([np.zeros_like(q), np.full_like(q, S_MAX), q / qa, qc / q])
+        s = np.where((s >= 0.0) & (s <= S_MAX), s, 0.0)
+        den = d0 + s * (d1 + s * d2)
+        ratio = np.where(den > 0.0, (n0 + s * (n1 + s * n2)) / den, np.inf)
+    pick = np.argmin(ratio, axis=0)
+    cols = np.arange(beta.size)
+    return ratio[pick, cols], s[pick, cols]
 
 
-def _polish(fn, a2, b2, alpha2_max, step_a, step_b):
-    clipped = lambda x, y: fn(min(max(x, 0.0), alpha2_max), y)
-    if a2 + step_a > alpha2_max:
-        step_a = -step_a
-    (pa, pb), val = _nelder_mead(clipped, (a2, b2), (step_a, step_b))
-    return min(max(pa, 0.0), alpha2_max), pb % TWO_PI, val
-
-
-def _inner_minimum(lam, gamma_grid, sar_c_grid, a2_axis, b2_axis, scalar_fn,
-                   alpha2_max, candidates=()):
-    vals = sar_c_grid - lam * gamma_grid
-    flat = int(np.argmin(vals))
-    gi, gj = divmod(flat, a2_axis.size)
-    best = (float(a2_axis[gj]), float(b2_axis[gi]))
-    best_val = float(vals[gi, gj])
-    for cand in candidates:
-        cv = scalar_fn(*cand)
-        if cv < best_val:
-            best, best_val = cand, cv
-    step_a = alpha2_max / (a2_axis.size - 1)
-    step_b = TWO_PI / b2_axis.size
-    pa, pb, pv = _polish(scalar_fn, best[0], best[1], alpha2_max, step_a, step_b)
-    if pv < best_val:
-        return pa, pb, pv
-    return best[0], best[1], best_val
-
-
-def solve_inner(lam, k_mat, model, constants, alpha2_max=ALPHA2_MAX, grid=GRID_SIZE):
-    """Minimizer of the ratio-linearized objective over the beamformer box."""
-    k11, k22, k12a, k12p = _pair_terms(k_mat)
-    c = constants.delta * constants.power_factor
-    a2_axis, b2_axis, sar = _sar_grid(model, grid, alpha2_max)
-    gamma_grid = k11 + a2_axis * k22 \
-        + 2.0 * np.sqrt(a2_axis) * k12a * np.cos(b2_axis[:, None] + k12p)
-    fn = _scalar_objective(c, constants.delta * lam, k11, k22, k12a, k12p, model.b)
-    a2, b2, _ = _inner_minimum(constants.delta * lam, gamma_grid, c * sar,
-                               a2_axis, b2_axis, fn, alpha2_max)
-    return Beamformer((1.0, a2), (0.0, b2))
-
-
-def optimize_beamformer(k_mat, model, constants, eps1=1e-6, max_iter=50,
-                        alpha2_max=ALPHA2_MAX, grid=GRID_SIZE):
+def optimize_beamformer(k_mat, model, constants):
     """Ratio-minimizing beamformer for one (user, resource element).
 
-    Returns (Beamformer, DinkelbachState); state.converged is False when the
-    iteration hit max_iter without the ratio stalling (best iterate is still
-    returned).
+    Returns (Beamformer, DinkelbachState).  lam_history holds the coarse
+    grid's ratio and then the best ratio after each refinement pass, so it
+    never rises; iterations counts the passes.
     """
-    k11, k22, k12a, k12p = _pair_terms(k_mat)
-    c = constants.power_factor
+    k_terms = _pair_terms(k_mat)
     if constants.delta == 0:
         bf = Beamformer((1.0, 0.0), (0.0, 0.0))
         return bf, DinkelbachState(0.0, bf, 0, True, (0.0,))
 
-    a2_axis, b2_axis, sar = _sar_grid(model, grid, alpha2_max)
-    gamma_grid = k11 + a2_axis * k22 \
-        + 2.0 * np.sqrt(a2_axis) * k12a * np.cos(b2_axis[:, None] + k12p)
-    if float(gamma_grid.max()) <= 0.0:
-        raise InfeasibleError("no beamformer on the search grid achieves positive gain")
-    sar_c = c * sar
+    beta, harm = _coarse_grid(model)
+    ratio, s = _min_over_s(model.b, harm, beta, *k_terms)
+    i = int(np.argmin(ratio))
+    if math.isinf(ratio[i]):
+        raise InfeasibleError("no beamformer achieves positive gain")
+    best = (float(ratio[i]), float(s[i]), float(beta[i]))
+    history = [best[0]]
+    step = TWO_PI / BETA_GRID
+    for _ in range(REFINE_PASSES):
+        beta = best[2] + np.linspace(-step, step, REFINE_POINTS)
+        ratio, s = _min_over_s(model.b, sar_harmonic(model, beta), beta, *k_terms)
+        i = int(np.argmin(ratio))
+        if ratio[i] < best[0]:
+            best = (float(ratio[i]), float(s[i]), float(beta[i]))
+        history.append(best[0])
+        step *= 2.0 / (REFINE_POINTS - 1)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(gamma_grid > 0.0, sar_c / gamma_grid, np.inf)
-    flat = int(np.argmin(ratio))
-    gi, gj = divmod(flat, a2_axis.size)
-    lam = float(ratio[gi, gj])
-    iterate = (float(a2_axis[gj]), float(b2_axis[gi]))
-
-    history = [lam]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        fn = _scalar_objective(c, lam, k11, k22, k12a, k12p, model.b)
-        a2, b2, _ = _inner_minimum(lam, gamma_grid, sar_c, a2_axis, b2_axis, fn,
-                                   alpha2_max, candidates=(iterate,))
-        num = c * float(reference_sar(model, (1.0, a2), b2))
-        den = float(pair_gain(k_mat, a2, b2))
-        if num <= 0.0:
-            lam_new = 0.0
-        else:
-            if den <= 0.0:
-                raise InfeasibleError("ratio update hit a zero-gain beamformer")
-            lam_new = num / den
-        iterate = (a2, b2)
-        history.append(lam_new)
-        # lam carries the noise-power scale, so the stall test must be relative
-        if abs(lam_new - lam) <= eps1 * max(abs(lam), abs(lam_new)):
-            lam = lam_new
-            converged = True
-            break
-        lam = lam_new
-
-    bf = Beamformer((1.0, iterate[0]), (0.0, iterate[1] % TWO_PI))
-    return bf, DinkelbachState(lam, bf, iterations, converged, tuple(history))
+    c = constants.power_factor
+    lam_history = tuple(c * r for r in history)
+    bf = Beamformer((1.0, best[1] ** 2), (0.0, best[2] % TWO_PI))
+    return bf, DinkelbachState(lam_history[-1], bf, REFINE_PASSES, True, lam_history)

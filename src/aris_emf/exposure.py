@@ -25,16 +25,15 @@ class InfeasibleError(RuntimeError):
     """A hard feasibility failure (rates unreachable within the power budget)."""
 
 
-_GRID = 64
-_ALPHA2_MAX = 4.0
+ALPHA2_MAX = 4.0   # upper end of the second antenna's power share alpha_2
 
 
 @dataclass(frozen=True)
 class SarModel:
     """Twenty fitted coefficients b_1..b_20 of the reference-SAR polynomial.
 
-    Positivity over the operating range (alpha_2 in [0, 4], beta_2 in
-    [0, 2pi)) is checked on a 64x64 grid at construction time.
+    Positivity over the operating range (alpha_2 in [0, ALPHA2_MAX], all
+    beta_2) is checked exactly at construction time; see `_sar_floor`.
     """
 
     b: tuple
@@ -44,14 +43,46 @@ class SarModel:
         if len(b) != 20:
             raise ValueError(f"SarModel needs exactly 20 coefficients, got {len(b)}")
         object.__setattr__(self, "b", b)
-        a2 = np.linspace(0.0, _ALPHA2_MAX, _GRID)
-        b2 = np.linspace(0.0, 2.0 * np.pi, _GRID, endpoint=False)
-        vals = reference_sar(self, np.stack([np.ones(_GRID), a2]), b2[:, None])
-        if np.min(vals) <= 0.0:
-            i, j = np.unravel_index(np.argmin(vals), vals.shape)
+        floor, a2, b2 = _sar_floor(self)
+        if floor <= 0.0:
             raise ValueError(
                 "SAR model fails positivity validation: "
-                f"SAR={vals[i, j]:.6g} at alpha2={a2[j]:.4g}, beta2={b2[i]:.4g}")
+                f"SAR={floor:.6g} at alpha2={a2:.4g}, beta2={b2:.4g}")
+
+
+def _sar_floor(model):
+    """Exact minimum of the reference SAR over the operating range.
+
+    With s = sqrt(alpha_2), SAR = q(s) + e(s)*H(beta_2) where q and e are
+    quadratics in s and H is the harmonic series.  SAR is affine in H, so for
+    every s its minimum over beta_2 sits at H's smallest or largest value,
+    and the floor is the smaller of two one-variable quadratic minima over
+    s in [0, sqrt(ALPHA2_MAX)].  H's extremes lie at roots of H', and with
+    z = exp(j*beta_2), z**6 * H'(beta_2) is a degree-12 polynomial in z.
+    Returns (floor, alpha_2, beta_2) at the minimizer.
+    """
+    b = model.b
+    poly = np.zeros(13, dtype=complex)   # descending powers of z
+    for k in range(1, 7):
+        poly[6 - k] = k * b[6 + k] * np.exp(1j * b[13 + k])
+        poly[6 + k] = -k * b[6 + k] * np.exp(-1j * b[13 + k])
+    # roots off the unit circle add only harmless candidates; beta_2 = 0
+    # covers an H with no harmonics, whose polynomial has no roots
+    betas = np.append(np.angle(np.roots(poly)), 0.0) % (2.0 * np.pi)
+    harm = sar_harmonic(model, betas)
+    s_max = math.sqrt(ALPHA2_MAX)
+    best = (math.inf, 0.0, 0.0)
+    for i in (int(np.argmin(harm)), int(np.argmax(harm))):
+        h = float(harm[i])
+        c0, c1, c2 = b[0] + b[3] * h, b[1] + b[4] * h, b[2] + b[5] * h
+        cands = [0.0, s_max]
+        if c2 > 0.0 and 0.0 < -c1 / (2.0 * c2) < s_max:
+            cands.append(-c1 / (2.0 * c2))
+        for s in cands:
+            val = c0 + s * (c1 + s * c2)
+            if val < best[0]:
+                best = (val, s * s, float(betas[i]))
+    return best
 
 
 # Synthetic default: quadratic part dominated by the per-antenna terms, with a
@@ -92,14 +123,24 @@ def reference_sar(model, alpha, beta2):
     cross = np.sqrt(a1 * a2)
     quad = b[0] * a1 + b[1] * cross + b[2] * a2
     env = b[3] * a1 + b[4] * cross + b[5] * a2
-    harm = 0.0
-    for k in range(7):
-        if b[6 + k] != 0.0:
-            harm = harm + b[6 + k] * np.cos(k * beta2 + b[13 + k])
-    out = quad + env * harm
+    out = quad + env * sar_harmonic(model, beta2)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def sar_harmonic(model, beta2):
+    """Harmonic series sum_{k=0..6} b_{7+k} cos(k*beta2 + b_{14+k}) of the SAR.
+
+    Returns an array of beta2's shape (zeros when every amplitude is 0).
+    """
+    b = model.b
+    beta2 = np.asarray(beta2, dtype=float)
+    harm = np.zeros(beta2.shape)
+    for k in range(7):
+        if b[6 + k] != 0.0:
+            harm = harm + b[6 + k] * np.cos(k * beta2 + b[13 + k])
+    return harm
 
 
 def achievable_rate(delta, p, gamma, w, sigma2):

@@ -47,7 +47,6 @@ CAP_SLACK = 1e-9         # relative slack on per-user power caps
 # schedule here because the outer loop re-derives the gain field (beams,
 # phases and powers included) before every new attempt, which a standalone
 # multi-round search cannot do.
-BEAM_EPS = 1e-6          # Dinkelbach stopping tolerance
 PHASE_ROUNDS = 3         # phase-block rounds per slot
 PHASE_DRAWS = 100        # Gaussian randomization draws per round
 SDP_TOL = 1e-6
@@ -258,8 +257,7 @@ def _block_beams(state, ell, check_caps):
         consts = BeamConstants(rbar=float(state.shares[ell, u, n]),
                                sigma2=p.noise_per_re, bandwidth=p.bandwidth_per_re)
         try:
-            beam, info = optimize_beamformer(k_mat, sc.sar_model, consts,
-                                             eps1=BEAM_EPS)
+            beam, _ = optimize_beamformer(k_mat, sc.sar_model, consts)
         except InfeasibleError:
             continue
         state.counters["dinkelbach_calls"] += 1

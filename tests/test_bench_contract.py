@@ -52,3 +52,14 @@ def test_output_checks_pass_on_the_fixed_surface_report():
 def test_phase_tracer_reads_theta0_as_fifth_positional():
     # instrument._theta0 reads args[4]; a reorder would miscount `.changed`
     assert list(inspect.signature(optimize_phases).parameters)[4] == "theta0"
+
+
+def test_beam_observer_reads_every_beam_solve_of_a_desk_run():
+    # instrument._observe_beams reads .iterations and .converged of each
+    # returned state; an exception there would escape run_ao
+    tracer = instrument.Tracer()
+    with ExitStack() as stack:
+        tracer.install(stack)
+        run_ao(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1, knobs=MC_KNOBS)
+    assert tracer.totals()["beamforming.optimize_beamformer"][0] > 0
+    assert tracer.counts["beamforming.optimize_beamformer.dinkelbach_iters"] > 0

@@ -1,6 +1,7 @@
 """SAR polynomial, rate/power inversion, and exposure aggregation."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from aris_emf.exposure import (ExposureReport, InfeasibleError, SarModel,
                                exposure_index, load_sar_model,
                                min_power_for_rate, reference_sar,
                                sar_vs_lobe_angle, user_exposure)
+from aris_emf.exposure import _sar_floor
 
 
 def sar_oracle(b, a1, a2, beta2):
@@ -59,6 +61,29 @@ def test_positivity_validation_rejects_bad_model():
     bad = (1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 5.0) + (0.0,) * 12
     with pytest.raises(ValueError, match="positivity"):
         SarModel(bad)
+
+
+def test_positivity_validation_catches_a_dip_between_grid_points():
+    # SAR = 1 + 1.0024*cos(6*beta2 + pi/32) dips to -0.0024 only between the
+    # points of a 64-point beta2 grid
+    bad = [1.0, 0.0, 0.0, 1.0] + [0.0] * 16
+    bad[12], bad[19] = 1.0024, math.pi / 32
+    with pytest.raises(ValueError, match="positivity"):
+        SarModel(tuple(bad))
+
+
+def test_sar_floor_is_attained_and_below_a_dense_grid():
+    rng = np.random.default_rng(13)
+    n = 300
+    a2 = np.linspace(0.0, 4.0, n)
+    b2 = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    alpha = np.stack([np.ones((n, n)), np.broadcast_to(a2, (n, n))])
+    for _ in range(50):
+        # unvalidated coefficients: some of these models dip below zero
+        model = SimpleNamespace(b=tuple(rng.normal(size=20)))
+        floor, at_a2, at_b2 = _sar_floor(model)
+        assert reference_sar(model, (1.0, at_a2), at_b2) == pytest.approx(floor, rel=1e-9)
+        assert floor <= float(reference_sar(model, alpha, b2[:, None]).min()) + 1e-12
 
 
 def test_default_model_positive_everywhere():
