@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import TWO_PI, Beamformer
-from .exposure import ALPHA2_MAX, InfeasibleError, sar_harmonic
+from .exposure import ALPHA2_MAX, InfeasibleError, power_factor, sar_harmonic
 
 BETA_GRID = 256       # coarse beta2 points over [0, 2pi)
 REFINE_PASSES = 4     # nested refinements around the best phase so far
@@ -59,7 +59,7 @@ class BeamConstants:
     @property
     def power_factor(self):
         """sigma2 * (2**(rbar/w) - 1): power needed at unit gain."""
-        return self.sigma2 * (2.0 ** (self.rbar / self.bandwidth) - 1.0)
+        return power_factor(self.rbar, self.sigma2, self.bandwidth)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,11 @@
 """In-house numerical kernels shared by the optimizer blocks.
 
-Four tools, all dense and dimension-modest:
+Three tools, all dense and dimension-modest:
 
 * a primal-dual path-following solver for the unit-diagonal semidefinite
   relaxation (Hermitian matrices handled in complex arithmetic directly),
-* a log-barrier method for small smooth convex programs with optional
-  linear equality constraints,
-* a damped Newton root-finder that reports divergence instead of looping,
+* a log-barrier method for small smooth inequality-constrained convex
+  programs,
 * bisection to a relative bracket width, returning the end on hi's side.
 
 Everything here is deterministic: no randomized pivoting, no global state.
@@ -163,10 +162,9 @@ def solve_sdp(problem, tol=1e-7, max_iter=100):
 
 @dataclass
 class ConvexProgram:
-    """minimize f0(x) s.t. f_i(x) <= 0 and A x = b.
+    """minimize f0(x) s.t. f_i(x) <= 0.
 
-    Evaluators return (value, gradient) or (value, gradient, hessian);
-    missing Hessians are finite-differenced from the gradient.
+    Evaluators return (value, gradient, hessian).
 
     For hot loops with many structured constraints, `constraint_pack`
     replaces the per-constraint closure list with one batched callable:
@@ -180,28 +178,12 @@ class ConvexProgram:
     dim: int
     objective: callable
     constraints: list = field(default_factory=list)
-    a_eq: np.ndarray = None
-    b_eq: np.ndarray = None
     constraint_pack: callable = None
 
 
 def _eval(fn, x):
-    out = fn(x)
-    if len(out) == 2:
-        return out[0], np.asarray(out[1], dtype=float), None
-    return out[0], np.asarray(out[1], dtype=float), np.asarray(out[2], dtype=float)
-
-
-def _fd_hessian(fn, x, grad):
-    n = x.size
-    h = np.empty((n, n))
-    step = 1e-6 * np.maximum(1.0, np.abs(x))
-    for j in range(n):
-        xp = x.copy()
-        xp[j] += step[j]
-        gp = np.asarray(fn(xp)[1], dtype=float)
-        h[:, j] = (gp - grad) / step[j]
-    return 0.5 * (h + h.T)
+    value, grad, hess = fn(x)
+    return value, np.asarray(grad, dtype=float), np.asarray(hess, dtype=float)
 
 
 def _strictly_feasible(fv):
@@ -215,11 +197,11 @@ def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=Fal
     """Log-barrier method: barrier weight shrunk (t grown by t_growth) each
     round, damped Newton centering with 0.3/0.8 backtracking.
 
-    With return_duals=True the result is (x, lam, nu): the inequality
-    multipliers lam_i = 1/(t * (-f_i)) and equality multipliers nu from the
-    last centering step.  t0 > 1 starts the barrier schedule further along,
-    useful when x0 is a warm start near the optimum; t_growth > 2 trades
-    extra Newton steps per round for fewer rounds.
+    With return_duals=True the result is (x, lam): the inequality
+    multipliers lam_i = 1/(t * (-f_i)) at the last barrier weight.  t0 > 1
+    starts the barrier schedule further along, useful when x0 is a warm start
+    near the optimum; t_growth > 2 trades extra Newton steps per round for
+    fewer rounds.
     """
     if t_growth <= 1.0:
         raise ValueError("t_growth must exceed 1")
@@ -228,12 +210,6 @@ def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=Fal
     pack = program.constraint_pack
     if pack is not None and cons:
         raise ConvexSolverError("give either constraints or constraint_pack, not both")
-    a_eq = program.a_eq
-    if a_eq is not None:
-        a_eq = np.asarray(a_eq, dtype=float)
-        b_eq = np.asarray(program.b_eq, dtype=float)
-        if np.max(np.abs(a_eq @ x - b_eq)) > 1e-9 * max(1.0, np.max(np.abs(b_eq))):
-            raise ConvexSolverError("infeasible start: equality constraints violated")
 
     def ineq_values(xx):
         if pack is not None:
@@ -256,14 +232,11 @@ def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=Fal
 
     t = max(float(t0), 1.0)
     newton_used = 0
-    nu = np.zeros(0 if a_eq is None else a_eq.shape[0])
     while True:
         final_round = m == 0 or m / t <= tol
         # center at the current t
         for _ in range(max_newton):
             f0, g0, h0 = _eval(program.objective, x)
-            if h0 is None:
-                h0 = _fd_hessian(program.objective, x, g0)
             if pack is not None:
                 fvec, gmat, hess_mix = pack(x, True)
                 fvec = np.asarray(fvec, dtype=float)
@@ -277,8 +250,6 @@ def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=Fal
                 hess = t * h0
                 for c in cons:
                     fv, gv, hv = _eval(c, x)
-                    if hv is None:
-                        hv = _fd_hessian(c, x, gv)
                     grad = grad - gv / fv
                     hess = hess + np.outer(gv, gv) / fv ** 2 - hv / fv
             hess = 0.5 * (hess + hess.T)
@@ -287,29 +258,14 @@ def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=Fal
 
             # grad/t is the KKT stationarity residual under the barrier duals;
             # in the last round center until it clears the requested tolerance
-            if final_round and a_eq is None:
+            if final_round:
                 if np.linalg.norm(grad) / t <= 0.5 * tol * max(1.0, np.linalg.norm(g0)):
                     break
 
-            if a_eq is None:
-                try:
-                    dx = np.linalg.solve(hess, -grad)
-                except np.linalg.LinAlgError:
-                    dx = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            else:
-                k = a_eq.shape[0]
-                kkt = np.block([[hess, a_eq.T], [a_eq, np.zeros((k, k))]])
-                rhs = np.concatenate([-grad, np.zeros(k)])
-                try:
-                    sol = np.linalg.solve(kkt, rhs)
-                except np.linalg.LinAlgError:
-                    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-                dx = sol[:program.dim]
-                nu = sol[program.dim:] / t
-                if final_round:
-                    resid = np.linalg.norm(grad + a_eq.T @ (t * nu)) / t
-                    if resid <= 0.5 * tol * max(1.0, np.linalg.norm(g0)):
-                        break
+            try:
+                dx = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                dx = np.linalg.lstsq(hess, -grad, rcond=None)[0]
 
             decrement = float(-grad @ dx)
             if decrement <= 1e-13 * max(1.0, t):
@@ -320,15 +276,19 @@ def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=Fal
             phi0 = barrier_value(t, x)
             alpha = 1.0
             gd = float(grad @ dx)
-            while alpha > 1e-14:
-                if barrier_value(t, x + alpha * dx) <= phi0 + 0.3 * alpha * gd:
-                    break
-                alpha *= 0.8
-            else:
-                # steps this small only happen at numerical centering accuracy
-                if decrement <= 1e-4 * max(1.0, t):
-                    break
-                raise ConvexSolverError("line-search failure while centering")
+            # a trial point may leave the constraints' domain (a log of a
+            # negative number, say); barrier_value rejects the NaN or inf
+            # that gives, so its warning carries no information
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                while alpha > 1e-14:
+                    if barrier_value(t, x + alpha * dx) <= phi0 + 0.3 * alpha * gd:
+                        break
+                    alpha *= 0.8
+                else:
+                    # steps this small only happen at numerical centering accuracy
+                    if decrement <= 1e-4 * max(1.0, t):
+                        break
+                    raise ConvexSolverError("line-search failure while centering")
             x = x + alpha * dx
             newton_used += 1
         else:
@@ -340,37 +300,8 @@ def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=Fal
     if return_duals:
         fv = ineq_values(x)
         lam = 1.0 / (t * np.maximum(-fv, 1e-300))
-        return x, lam, nu
+        return x, lam
     return x
-
-
-def newton_solve(f, jac, x0, tol=1e-10, max_iter=50, max_halvings=30):
-    """Damped Newton for F(x) = 0. Returns (x, converged).
-
-    converged=False signals the caller to fall back to a bracketing method.
-    """
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    fx = np.atleast_1d(np.asarray(f(x), dtype=float))
-    for _ in range(max_iter):
-        norm = float(np.linalg.norm(fx))
-        if norm <= tol:
-            return x, True
-        j = np.atleast_2d(np.asarray(jac(x), dtype=float))
-        try:
-            step = np.linalg.solve(j, -fx)
-        except np.linalg.LinAlgError:
-            return x, False
-        alpha = 1.0
-        for _ in range(max_halvings):
-            x_new = x + alpha * step
-            f_new = np.atleast_1d(np.asarray(f(x_new), dtype=float))
-            if np.all(np.isfinite(f_new)) and float(np.linalg.norm(f_new)) < norm:
-                x, fx = x_new, f_new
-                break
-            alpha *= 0.5
-        else:
-            return x, False
-    return x, float(np.linalg.norm(fx)) <= tol
 
 
 def bisect(f, lo, hi, tol=1e-12, max_iter=200):

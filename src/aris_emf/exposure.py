@@ -148,6 +148,11 @@ def achievable_rate(delta, p, gamma, w, sigma2):
     return w * delta * np.log2(1.0 + p * gamma / sigma2)
 
 
+def power_factor(share, sigma2, w):
+    """sigma2 * (2^{share/w} - 1): the power that carries `share` bit/s at unit gain."""
+    return sigma2 * (2.0 ** (share / w) - 1.0)
+
+
 def min_power_for_rate(rbar, gamma, sigma2, w):
     """Transmit power that meets the rate share `rbar` exactly: (2^{r/w}-1) sigma2/gamma."""
     if rbar == 0:
@@ -155,7 +160,7 @@ def min_power_for_rate(rbar, gamma, sigma2, w):
     if gamma <= 0:
         raise InfeasibleError(
             f"link with zero channel gain cannot carry a positive rate ({rbar} bits/s)")
-    return (math.pow(2.0, rbar / w) - 1.0) * sigma2 / gamma
+    return power_factor(rbar, sigma2, w) / gamma
 
 
 def user_exposure(delta, p, sar):

@@ -30,7 +30,7 @@ from .beamforming import BeamConstants, optimize_beamformer
 from .channel import (STREAM_GR, STREAM_RANDOM_PHASE, Beamformer, ChannelSet,
                       channel_gain, gain_decomposition, rng_stream)
 from .exposure import (ExposureReport, InfeasibleError, exposure_index,
-                       reference_sar)
+                       power_factor, reference_sar)
 from .power_control import allocate_power
 from .re_alloc import allocate
 from .ris_phase import PhaseShiftVector, optimize_phases, uniform_phases
@@ -162,14 +162,11 @@ def _sar_of(beam, model):
     return float(reference_sar(model, np.asarray(beam.alpha), beam.beta[1]))
 
 
-def _power_factor(share, p):
-    return p.noise_per_re * (2.0 ** (share / p.bandwidth_per_re) - 1.0)
-
-
 def _exposure_weight(state, ell, u, n):
     """c = sqrt(power_factor * SAR): the link's exposure is c^2 / gain."""
-    return math.sqrt(_power_factor(state.shares[ell, u, n], state.scenario.params)
-                     * state.sar[ell, u, n])
+    p = state.scenario.params
+    return math.sqrt(power_factor(state.shares[ell, u, n], p.noise_per_re,
+                                  p.bandwidth_per_re) * state.sar[ell, u, n])
 
 
 def _equality_powers(state, ell, gamma):
@@ -177,9 +174,10 @@ def _equality_powers(state, ell, gamma):
     active = state.delta[ell] > 0
     if np.any(gamma[active] <= 0):
         raise InfeasibleError("an assigned resource element has no usable gain")
+    p = state.scenario.params
     powers = np.zeros_like(gamma)
-    powers[active] = (_power_factor(state.shares[ell][active], state.scenario.params)
-                      / gamma[active])
+    powers[active] = (power_factor(state.shares[ell][active], p.noise_per_re,
+                                   p.bandwidth_per_re) / gamma[active])
     return powers
 
 
@@ -263,7 +261,7 @@ def _block_beams(state, ell, check_caps):
         state.counters["dinkelbach_calls"] += 1
         new_gain = channel_gain(h_eff, beam)
         new_sar = _sar_of(beam, sc.sar_model)
-        pf = _power_factor(state.shares[ell, u, n], p)
+        pf = power_factor(state.shares[ell, u, n], p.noise_per_re, p.bandwidth_per_re)
         if new_gain > 0 and new_sar * pf / new_gain \
                 <= sar[u, n] * pf / max(gamma[u, n], 1e-300) * (1.0 + REL_TOL):
             beams[u, n], gamma[u, n], sar[u, n] = beam, new_gain, new_sar

@@ -2,19 +2,23 @@
 
 One user's subproblem: minimize the exposure sum SAR_n * p_n over its
 elements subject to a total-rate floor and a total-power cap.  Stationarity
-gives water-filling-like powers
+gives water-filling powers
 
-    p_n = max{ nu / (SAR_n + lam) - sigma2 / gamma_n, 0 },
+    p_n = max{ nu / (SAR_n + lam) - sigma2 / gamma_n, 0 }
+        = max{ nu / t_n - 1, 0 } / snr_n,
 
-with nu = w*mu/ln2 the rate multiplier's water level and lam the power-cap
-multiplier.  The rate floor always binds, so nu is found by bisection with
-lam = 0; only when that solution overshoots the cap is the full (nu, lam)
-system solved (damped Newton, nested bisection as fallback: the total power
-at rate equality is non-increasing in lam, a Pareto-scalarization fact).
-Every bisection here stops on a bracket width relative to the root, so its
-accuracy does not depend on how large p_max makes the initial bracket, and
-keeps the bracket end that meets the rate (for lam: that spends at most
-p_max).
+with nu = w*mu/ln2 the rate multiplier's water level, lam the power-cap
+multiplier, snr_n = gamma_n / sigma2 and t_n = (SAR_n + lam) / snr_n the
+element's threshold.  The rate floor always binds, so for a fixed lam the
+level is exact (Palomar & Fonollosa, IEEE TSP 2005): with the k smallest
+thresholds active, log2 nu = (rate/w + sum_{i<=k} log2 t_i) / k, and the
+active count is the largest k whose level reaches its own threshold.
+
+That one formula is used three times.  Thresholds 1/snr give the least
+spend that meets the rate (the lam -> inf limit); above p_max the user is
+infeasible.  lam = 0 gives the optimum when the cap is slack.  When it binds,
+a bisection over lam finds where the spend meets p_max: the spend at rate
+equality is non-increasing in lam, a Pareto-scalarization fact.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_kernels import bisect, newton_solve
+from .convex_kernels import bisect
 from .exposure import InfeasibleError
 
 LN2 = math.log(2.0)
@@ -52,46 +56,26 @@ class PowerAllocation:
         return float(self.powers.sum())
 
 
-def optimal_power_formula(mu, lam, sar, gamma, sigma2, w, delta):
-    """max{delta*w*mu/(ln2*(sar+lam)) - delta*sigma2/gamma, 0}, elementwise."""
-    delta = np.asarray(delta, dtype=float)
-    bracket = w * mu / (LN2 * (np.asarray(sar, dtype=float) + lam)) \
-        - sigma2 / np.asarray(gamma, dtype=float)
-    out = np.maximum(delta * bracket, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+def _waterfill(thresholds, snr_per_watt, target):
+    """Exact water level for thresholds t_n and a rate target in units of w.
 
-
-def _powers_at(nu, lam, sar, snr_per_watt):
-    """Stationary powers at water level nu = w*mu/ln2 (vector over elements)."""
-    return np.maximum(nu / (sar + lam) - 1.0 / snr_per_watt, 0.0)
-
-
-def _norm_rate(p, snr_per_watt):
-    """Sum of log2(1 + p*gamma/sigma2): the user rate in units of w."""
-    return float(np.sum(np.log2(1.0 + p * snr_per_watt)))
-
-
-def _rate_max_waterfill(snr_per_watt, p_max):
-    """Rate-maximizing powers under a total-power budget (equal weights)."""
-    inv = 1.0 / snr_per_watt
-
-    def spent(level):
-        return float(np.maximum(level - inv, 0.0).sum()) - p_max
-
-    hi = inv.min() + p_max  # water at this level costs at least p_max
-    level = bisect(spent, 0.0, hi, tol=1e-15)
-    return np.maximum(level - inv, 0.0)
-
-
-def solve_multipliers(gamma, sar, rate_target, p_max, sigma2, w):
-    """Multipliers (mu*, lam*) of one user's exposure-minimal power problem.
-
-    gamma/sar: per-element gains and reference exposures of the user's
-    assigned elements (all positive).  Raises InfeasibleError when even the
-    rate-optimal spend of p_max cannot reach rate_target.
+    Returns (log2 nu, powers).  Levels are offsets from the smallest log2 t,
+    so the excess bits x_n = log2(nu / t_n) of a tiny target are not the
+    difference of two large logarithms, and p_n = (2^x_n - 1) / snr_n is
+    formed with expm1.
     """
+    log_t = np.log2(thresholds)
+    base = float(log_t.min())
+    offsets = log_t - base
+    ordered = np.sort(offsets)
+    levels = (target + np.cumsum(ordered)) / np.arange(1, ordered.size + 1)
+    level = levels[np.flatnonzero(levels >= ordered)[-1]]
+    excess = np.maximum(level - offsets, 0.0)
+    return base + float(level), np.expm1(LN2 * excess) / snr_per_watt
+
+
+def _solve(gamma, sar, rate_target, p_max, sigma2, w):
+    """(mu, lam, powers) of one user's exposure-minimal power problem."""
     gamma = np.asarray(gamma, dtype=float)
     sar = np.asarray(sar, dtype=float)
     if gamma.size == 0:
@@ -103,65 +87,42 @@ def solve_multipliers(gamma, sar, rate_target, p_max, sigma2, w):
     snr_per_watt = gamma / sigma2
     target = rate_target / w
     if target <= 0:
-        return 0.0, 0.0
+        return 0.0, 0.0, np.zeros(gamma.size)
 
-    best = _rate_max_waterfill(snr_per_watt, p_max)
-    if _norm_rate(best, snr_per_watt) < target * (1.0 - 1e-12):
+    def fill(lam):
+        return _waterfill((sar + lam) / snr_per_watt, snr_per_watt, target)
+
+    least = _waterfill(1.0 / snr_per_watt, snr_per_watt, target)[1].sum()
+    if least > p_max:
         raise InfeasibleError(
             f"rate target {rate_target:.6g} bit/s exceeds the {p_max:.3g} W budget")
 
-    def rate_gap(nu, lam):
-        return _norm_rate(_powers_at(nu, lam, sar, snr_per_watt), snr_per_watt) - target
+    lam = 0.0
+    log_nu, p = fill(lam)
+    if p.sum() > p_max * (1.0 + 1e-12):
+        def excess_spend(lam_x):
+            return float(fill(lam_x)[1].sum()) - p_max
 
-    # rate floor with the cap ignored: bisect the water level
-    hi = float(sar.max()) * (1.0 / snr_per_watt.min() + p_max)
-    while rate_gap(hi, 0.0) < 0:
-        hi *= 2.0
-    nu = bisect(lambda v: rate_gap(v, 0.0), 0.0, hi, tol=1e-15)
-    p = _powers_at(nu, 0.0, sar, snr_per_watt)
-    if p.sum() <= p_max * (1.0 + 1e-12):
-        return nu * LN2 / w, 0.0
+        lam_hi = float(sar.mean())
+        while excess_spend(lam_hi) > 0:
+            lam_hi *= 2.0
+            if lam_hi > 1e18 * sar.mean():
+                raise InfeasibleError("power cap is attainable only in the limit; "
+                                      "rate target sits on the feasibility boundary")
+        lam = bisect(excess_spend, 0.0, lam_hi, tol=1e-15)
+        log_nu, p = fill(lam)
+    return 2.0 ** log_nu * LN2 / w, lam, p
 
-    # cap binds: solve rate and power equality in (nu, lam) jointly
-    def residual(x):
-        nu_x, lam_x = x
-        if nu_x <= 0 or lam_x < 0:
-            return np.array([np.inf, np.inf])
-        px = _powers_at(nu_x, lam_x, sar, snr_per_watt)
-        return np.array([_norm_rate(px, snr_per_watt) - target,
-                         (px.sum() - p_max) / p_max])
 
-    def jacobian(x):
-        nu_x, lam_x = x
-        px = _powers_at(nu_x, lam_x, sar, snr_per_watt)
-        active = px > 0
-        weight = sar[active] + lam_x
-        dp_dnu = 1.0 / weight
-        dp_dlam = -nu_x / weight ** 2
-        dr_dp = snr_per_watt[active] / (LN2 * (1.0 + px[active] * snr_per_watt[active]))
-        return np.array([[float(dr_dp @ dp_dnu), float(dr_dp @ dp_dlam)],
-                         [float(dp_dnu.sum()) / p_max, float(dp_dlam.sum()) / p_max]])
+def solve_multipliers(gamma, sar, rate_target, p_max, sigma2, w):
+    """Multipliers (mu*, lam*) of one user's exposure-minimal power problem.
 
-    x, ok = newton_solve(residual, jacobian, np.array([nu, float(sar.mean())]),
-                         tol=1e-12)
-    if ok and x[0] > 0 and x[1] >= 0:
-        return float(x[0]) * LN2 / w, float(x[1])
-
-    # fallback: total power at rate equality is non-increasing in lam
-    def spend_at(lam):
-        hi_l = float((sar.max() + lam) * (1.0 / snr_per_watt.min() + p_max))
-        nu_l = bisect(lambda v: rate_gap(v, lam), 0.0, hi_l, tol=1e-15)
-        return nu_l, float(_powers_at(nu_l, lam, sar, snr_per_watt).sum())
-
-    lam_hi = float(sar.mean())
-    while spend_at(lam_hi)[1] > p_max:
-        lam_hi *= 2.0
-        if lam_hi > 1e18 * sar.mean():
-            raise InfeasibleError("power cap is attainable only in the limit; "
-                                  "rate target sits on the feasibility boundary")
-    lam = bisect(lambda l: spend_at(l)[1] - p_max, 0.0, lam_hi, tol=1e-15)
-    nu = spend_at(lam)[0]
-    return nu * LN2 / w, lam
+    gamma/sar: per-element gains and reference exposures of the user's
+    assigned elements (all positive).  Raises InfeasibleError when even the
+    least spend that meets rate_target exceeds p_max.
+    """
+    mu, lam, _ = _solve(gamma, sar, rate_target, p_max, sigma2, w)
+    return mu, lam
 
 
 def allocate_power(delta_row, gamma_row, sar_row, rate_target, p_max, sigma2, w,
@@ -187,14 +148,12 @@ def allocate_power(delta_row, gamma_row, sar_row, rate_target, p_max, sigma2, w,
         raise InfeasibleError(f"{label} has no usable resource element "
                               f"for a {rate_target:.6g} bit/s target")
     try:
-        mu, lam = solve_multipliers(gamma_row[usable], sar_row[usable],
-                                    rate_target, p_max, sigma2, w)
+        mu, lam, p = _solve(gamma_row[usable], sar_row[usable],
+                            rate_target, p_max, sigma2, w)
     except InfeasibleError as exc:
         raise InfeasibleError(f"{label}: {exc}") from None
-    nu = w * mu / LN2
-    p = _powers_at(nu, lam, sar_row[usable], gamma_row[usable] / sigma2)
     powers[usable] = p
-    shares[usable] = w * np.log2(1.0 + p * gamma_row[usable] / sigma2)
+    shares[usable] = w * np.log1p(p * (gamma_row[usable] / sigma2)) / LN2
 
     achieved = float(shares.sum())
     if achieved < rate_target * (1.0 - 1e-6) or powers.sum() > p_max * (1.0 + 1e-9):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exposure import InfeasibleError
+from .exposure import InfeasibleError, power_factor
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class AllocationMatrix:
 def ranking_metric(r_u, d_ur, d_rb, kappa1, kappa2, w):
     """(2**(r_u/w) - 1) * d_ur**kappa1 * d_rb**kappa2, elementwise."""
     r_u = np.asarray(r_u, dtype=float)
-    return (2.0 ** (r_u / w) - 1.0) * np.asarray(d_ur, dtype=float) ** kappa1 \
+    return power_factor(r_u, 1.0, w) * np.asarray(d_ur, dtype=float) ** kappa1 \
         * np.asarray(d_rb, dtype=float) ** kappa2
 
 

@@ -63,3 +63,14 @@ def test_beam_observer_reads_every_beam_solve_of_a_desk_run():
         run_ao(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1, knobs=MC_KNOBS)
     assert tracer.totals()["beamforming.optimize_beamformer"][0] > 0
     assert tracer.counts["beamforming.optimize_beamformer.dinkelbach_iters"] > 0
+
+
+def test_power_observer_reads_every_power_solve_of_a_desk_run():
+    # instrument._observe_power counts the calls that raised; a desk run
+    # raises none, so `.raised` must read 0 while `.calls` is positive
+    tracer = instrument.Tracer()
+    with ExitStack() as stack:
+        tracer.install(stack)
+        run_ao(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1, knobs=MC_KNOBS)
+    assert tracer.totals()["power_control.allocate_power"][0] > 0
+    assert tracer.counts["power_control.allocate_power.raised"] == 0

@@ -9,12 +9,22 @@ from aris_emf.power_control import (
     LN2,
     PowerAllocation,
     allocate_power,
-    optimal_power_formula,
     solve_multipliers,
 )
 
 W = 240e3
 SIGMA2 = 1e-13
+
+
+def optimal_power_formula(mu, lam, sar, gamma, sigma2, w, delta):
+    """max{delta*w*mu/(ln2*(sar+lam)) - delta*sigma2/gamma, 0}, elementwise."""
+    delta = np.asarray(delta, dtype=float)
+    bracket = w * mu / (LN2 * (np.asarray(sar, dtype=float) + lam)) \
+        - sigma2 / np.asarray(gamma, dtype=float)
+    out = np.maximum(delta * bracket, 0.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def nested_bisection_oracle(gamma, sar, target, w, sigma2):
@@ -183,6 +193,57 @@ def test_exposure_never_above_equal_rate_split():
         alloc, _ = allocate_power(np.ones(n), gamma, sar, target,
                                   float(p_eq.sum()) * 2 + 1.0, SIGMA2, W)
         assert float(sar @ alloc.powers) <= float(sar @ p_eq) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("target", [1e-9, 1e-12])
+def test_tiny_rate_target_is_met_exactly(target):
+    # the excess bits are ~1e-14 and less: a level taken as the difference of
+    # two logarithms of the thresholds would lose them to rounding
+    gamma = np.array([3e-9, 1e-9, 2e-9])
+    sar = np.array([1.0, 0.5, 2.0])
+    for n in (1, 3):
+        alloc, shares = allocate_power(np.ones(n), gamma[:n], sar[:n], target,
+                                       1.0, SIGMA2, W)
+        assert shares.sum() == pytest.approx(target, rel=1e-9)
+        assert alloc.lam == 0.0
+
+
+def test_water_level_matches_nested_bisection_with_ties_and_a_dominated_element():
+    rng = np.random.default_rng(7)
+    for n in range(1, 17):
+        gamma = rng.uniform(0.5, 5.0, size=n) * 1e-9
+        sar = rng.uniform(0.3, 3.0, size=n)
+        if n >= 3:
+            gamma[:2], sar[:2] = 5e-9, 0.3               # a tie, always active
+        if n >= 2:
+            gamma[-1], sar[-1] = 1e-12, 50.0             # dominated: stays dark
+        target = float(rng.uniform(1e6, 4e6))
+        alloc, shares = allocate_power(np.ones(n), gamma, sar, target, 10.0,
+                                       SIGMA2, W)
+        want = nested_bisection_oracle(gamma, sar, target, W, SIGMA2)
+        assert alloc.lam == 0.0
+        assert np.allclose(alloc.powers, want, rtol=1e-8, atol=0.0)
+        assert shares.sum() == pytest.approx(target, rel=1e-9)
+        if n >= 2:
+            assert want[-1] == 0.0 and alloc.powers[-1] == 0.0
+        if n >= 3:
+            assert alloc.powers[0] == alloc.powers[1] > 0.0
+
+
+def test_cap_at_the_least_spend_edge():
+    gamma = np.array([2e-9, 1e-9, 4e-9])
+    sar = np.array([0.5, 1.0, 3.0])
+    target = 3e6
+    # the least spend that meets the rate: equal weights, no cap
+    least = nested_bisection_oracle(gamma, np.ones(3), target, W, SIGMA2).sum()
+    with pytest.raises(InfeasibleError, match="user 2"):
+        allocate_power(np.ones(3), gamma, sar, target, least * (1 - 1e-9),
+                       SIGMA2, W, user=2)
+    alloc, shares = allocate_power(np.ones(3), gamma, sar, target,
+                                   least * (1 + 1e-9), SIGMA2, W, user=2)
+    assert alloc.lam > 0
+    assert alloc.total <= least * (1 + 1e-9)
+    assert shares.sum() == pytest.approx(target, rel=1e-9)
 
 
 def test_infeasible_budget_names_user():
