@@ -26,7 +26,7 @@ TWO_PI = 2.0 * np.pi
 LINK_G = 1          # user -> surface fading
 LINK_H = 2          # surface -> BS fading
 LINK_HD = 3         # direct-link fading
-STREAM_GR = 4       # randomization draws in the phase optimizer
+STREAM_GR = 4       # random starts of the phase ascent
 STREAM_RANDOM_PHASE = 5  # the random-phase benchmark
 
 
@@ -39,11 +39,6 @@ def _cgauss(rng, shape):
     """i.i.d. standard complex Gaussian entries, E|x|^2 = 1."""
     z = rng.standard_normal(size=shape + (2,))
     return (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
-
-
-def steering_vector(m, gamma, spacing):
-    """ULA steering vector: entry k is exp(-j*2*pi*spacing*k*gamma), k = 0..m-1."""
-    return np.exp(-1j * TWO_PI * spacing * np.arange(m) * gamma)
 
 
 @dataclass(frozen=True)
@@ -69,62 +64,6 @@ class Beamformer:
     def vector(self):
         """Complex antenna weights f_i = sqrt(alpha_i) * exp(j beta_i)."""
         return np.sqrt(np.asarray(self.alpha)) * np.exp(1j * np.asarray(self.beta))
-
-
-def _rician(rng_draw, los, k_factor):
-    return math.sqrt(k_factor / (k_factor + 1.0)) * los \
-        + math.sqrt(1.0 / (k_factor + 1.0)) * rng_draw
-
-
-def synth_user_aris_channel(rng, user_pos, aris_pos, params, departure_uses_x=False):
-    """One user->surface channel draw (N x M_t) at the given geometry."""
-    p = params
-    d = float(np.linalg.norm(np.asarray(user_pos) - np.asarray(aris_pos)))
-    if d <= 0:
-        raise ValueError("degenerate geometry: user and surface positions coincide")
-    sin_arr = (user_pos[1] - aris_pos[1]) / d
-    sin_dep = (user_pos[0] - aris_pos[0]) / d if departure_uses_x else sin_arr
-    a_n = steering_vector(p.num_ris_elements, sin_arr, p.antenna_spacing_ratio)
-    a_t = steering_vector(p.tx_antennas, sin_dep, p.antenna_spacing_ratio)
-    los = np.outer(a_n, a_t.conj())
-    w = _cgauss(rng, (p.num_ris_elements, p.tx_antennas))
-    scale = math.sqrt(p.los_pathloss_ref * d ** (-p.ris_pathloss_exps[0]))
-    return scale * _rician(w, los, p.rician_factors[0])
-
-
-def synth_aris_bs_channel(rng, aris_pos, bs_pos, params):
-    """One surface->BS channel draw (M_r x N) at the given geometry."""
-    p = params
-    d = float(np.linalg.norm(np.asarray(aris_pos) - np.asarray(bs_pos)))
-    if d <= 0:
-        raise ValueError("degenerate geometry: surface and BS positions coincide")
-    sin_ang = (bs_pos[0] - aris_pos[0]) / d
-    a_r = steering_vector(params.rx_antennas, sin_ang, p.antenna_spacing_ratio)
-    a_n = steering_vector(params.num_ris_elements, sin_ang, p.antenna_spacing_ratio)
-    los = np.outer(a_r, a_n.conj())
-    w = _cgauss(rng, (p.rx_antennas, p.num_ris_elements))
-    scale = math.sqrt(p.los_pathloss_ref * d ** (-p.ris_pathloss_exps[1]))
-    return scale * _rician(w, los, p.rician_factors[1])
-
-
-def synth_direct_channel(rng, user_pos, bs_pos, params):
-    """One direct user->BS Rayleigh draw (M_r x M_t), per-entry variance rho1 * d^-kappa."""
-    p = params
-    d = float(np.linalg.norm(np.asarray(user_pos) - np.asarray(bs_pos)))
-    if d <= 0:
-        raise ValueError("degenerate geometry: user and BS positions coincide")
-    scale = math.sqrt(p.nlos_pathloss_ref * d ** (-p.direct_pathloss_exp))
-    return scale * _cgauss(rng, (p.rx_antennas, p.tx_antennas))
-
-
-def effective_channel(h_mat, theta, g_mat, hd_mat):
-    """Overall M_r x M_t channel H * diag(theta) * G + Hd."""
-    h_mat = np.asarray(h_mat)
-    g_mat = np.asarray(g_mat)
-    theta = np.asarray(theta)
-    if h_mat.shape[1] != theta.shape[0] or g_mat.shape[0] != theta.shape[0]:
-        raise ValueError("dimension mismatch between surface response and channels")
-    return h_mat @ (theta[:, None] * g_mat) + np.asarray(hd_mat)
 
 
 def gain_from_quadratic(k_mat, alpha, beta):

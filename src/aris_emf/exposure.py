@@ -143,11 +143,6 @@ def sar_harmonic(model, beta2):
     return harm
 
 
-def achievable_rate(delta, p, gamma, w, sigma2):
-    """Uplink rate w*delta*log2(1 + p*gamma/sigma2) in bits/s."""
-    return w * delta * np.log2(1.0 + p * gamma / sigma2)
-
-
 def power_factor(share, sigma2, w):
     """sigma2 * (2^{share/w} - 1): the power that carries `share` bit/s at unit gain."""
     return sigma2 * (2.0 ** (share / w) - 1.0)
@@ -163,12 +158,6 @@ def min_power_for_rate(rbar, gamma, sigma2, w):
     return power_factor(rbar, sigma2, w) / gamma
 
 
-def user_exposure(delta, p, sar):
-    """Per-slot exposure of one user: sum_n delta_n * p_n * SAR_n (W/kg before duration scaling)."""
-    return float(np.sum(np.asarray(delta, dtype=float) * np.asarray(p, dtype=float)
-                        * np.asarray(sar, dtype=float)))
-
-
 def exposure_index(per_user_exposure, slot_duration):
     """Network exposure index: (duration / (N_T * U)) * sum over users and slots.
 
@@ -180,19 +169,6 @@ def exposure_index(per_user_exposure, slot_duration):
         return 0.0
     u, nt = e.shape
     return float(slot_duration / (nt * u) * np.sum(e))
-
-
-def sar_vs_lobe_angle(model, phi_deg, spacing=0.5):
-    """Reference SAR of a unit two-antenna beam steered to angle phi (degrees).
-
-    Steering a 2-element array with element spacing `spacing` (in
-    wavelengths) to angle phi requires the relative phase
-    beta2 = -2*pi*spacing*sin(phi); amplitudes are (1, 1).
-    """
-    phi = np.deg2rad(np.asarray(phi_deg, dtype=float))
-    beta2 = -2.0 * np.pi * spacing * np.sin(phi)
-    alpha = np.stack([np.ones_like(beta2), np.ones_like(beta2)])
-    return reference_sar(model, alpha, beta2)
 
 
 @dataclass(frozen=True)

@@ -40,16 +40,14 @@ NEUTRAL_BEAM = Beamformer(alpha=(1.0, 1.0), beta=(0.0, 0.0))
 REL_TOL = 1e-12          # per-RE beam acceptance slack
 CAP_SLACK = 1e-9         # relative slack on per-user power caps
 
-# Inner-solver budgets during one AO run.  They favor speed on repeated
-# Monte Carlo runs; the per-module defaults (used when calling the
-# optimizers directly) are stricter.  One linearized waypoint move per
+# Path-block budgets during one AO run.  They favor speed on repeated
+# Monte Carlo runs; the per-module defaults (used when calling the path
+# optimizer directly) are stricter.  One linearized waypoint move per
 # outer iteration (TRAJ_X_ROUNDS = TRAJ_SCA_ITERS = 1) is the efficient
 # schedule here because the outer loop re-derives the gain field (beams,
 # phases and powers included) before every new attempt, which a standalone
-# multi-round search cannot do.
-PHASE_ROUNDS = 3         # phase-block rounds per slot
-PHASE_DRAWS = 100        # Gaussian randomization draws per round
-SDP_TOL = 1e-6
+# multi-round search cannot do.  The phase block's step budget, tolerance and
+# restarts are `ris_phase` constants.
 TRAJ_X_ROUNDS = 1
 TRAJ_SCA_ITERS = 1
 TRAJ_BARRIER_TOL = 1e-4
@@ -290,9 +288,7 @@ def _block_phases(state, ell, rng, check_caps):
         direct[uu, n] = hd_f
         c_un[uu, n] = _exposure_weight(state, ell, uu, n)
     theta = optimize_phases(cascade, direct, delta, c_un,
-                            PhaseShiftVector(state.thetas[ell]), rng,
-                            max_rounds=PHASE_ROUNDS, i_gr=PHASE_DRAWS,
-                            sdp_tol=SDP_TOL)
+                            PhaseShiftVector(state.thetas[ell]), rng)
     state.counters["phase_calls"] += 1
     if np.allclose(theta.values, state.thetas[ell], rtol=0, atol=1e-15):
         return None

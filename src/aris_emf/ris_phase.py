@@ -2,21 +2,29 @@
 
 The exposure contribution of each allocated (user, resource element) link is
 the ratio c^2 / gamma(theta) with c = sqrt(power_factor * SAR) fixed while
-phases are optimized.  The sum of ratios is handled with the quadratic
-transform (auxiliary y = c / gamma), which turns each round into maximizing
-a single Hermitian quadratic form over unit-modulus phases.  Only the
-allocated (active) links enter: the form's matrix is one weighted Gram of
-their stacked cascades, and their gains are one batched matrix product.
-Lifting theta to homogeneous coordinates makes that a rank-constrained trace
-problem; the rank constraint is dropped, the resulting SDP solved, and a
-feasible phase vector recovered by Gaussian randomization.  A new phase
-vector is accepted only if the true objective does not increase, so the
-outer loop is monotone by construction.
+phases are optimized, and gamma(theta) = ||C theta + d||^2 with C the link's
+cascade and d its direct path.  Only the allocated (active) links enter.
+`optimize_phases` runs a minorization-maximization ascent on the sum of
+ratios: with weights w = c^2 / gamma^2 from the quadratic transform
+(y = c / gamma), the weighted gain sum w gamma(theta) is convex, so its
+linearization at the current theta minorizes it, and the unit-modulus
+maximizer of that linearization is the elementwise phase of
+C^H (w (C theta + d)).  That step lowers the sum of ratios when one link
+dominates, but it can overshoot when links pull apart, so a step is kept
+only if the true objective does not rise, and a rejected step is retried
+with a proximal term mu theta that shortens it.  Several starts ascend
+together as the columns of one matrix, so a step is two matrix products of
+the stacked active cascades.  theta0 is returned unless some column beats
+it, so the outer loop is monotone by construction.
+
+`solve_relaxation` (the unit-diagonal SDP relaxation of one round's lifted
+quadratic form) and `gaussian_randomization` (its rounding to unit modulus)
+are the semidefinite-relaxation route to the same round problem; they serve
+as its reference and are not on the alternating optimization's path.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +34,11 @@ from .exposure import InfeasibleError
 
 REDRAW_FLOOR = 1e-9  # |last lifted coordinate| below this forces a redraw
 EIG_CLAMP = -1e-9    # eigenvalues in [EIG_CLAMP, 0) are treated as 0
+MM_STEPS = 500       # step budget of each ascent column
+MM_TOL = 1e-10       # relative decrease at or below which a column stops
+MM_RESTARTS = 4      # random starts beside the warm start
+RESTART_STEPS = 30   # after this many steps only the warm and the best column go on
+MM_MAX_DAMP = 1e6    # damping past which a column's rejected step stops it
 
 
 @dataclass(frozen=True)
@@ -81,27 +94,6 @@ def quad_transform_y(c_un, gamma_un):
     return y
 
 
-def lifting_matrix(cascade, direct, w):
-    """Weighted homogeneous quadratic form of the active links, as one Gram.
-
-    cascade: (L, M_r, N); direct: (L, M_r); w: (L,) nonnegative weights.  The
-    result R is (N+1, N+1) Hermitian with [theta; 1]^H R [theta; 1]
-    = sum_l w_l (||C_l theta + d_l||^2 - ||d_l||^2).  The A block is
-    X^H X with X the sqrt(w)-weighted cascades stacked to (L*M_r, N), and the
-    border is one matvec, so no per-link N x N block is ever formed.
-    """
-    n = cascade.shape[-1]
-    flat = cascade.reshape(-1, n)
-    scaled = (np.sqrt(w)[:, None, None] * cascade).reshape(-1, n)
-    a = scaled.conj().T @ scaled
-    b = flat.conj().T @ (w[:, None] * direct).reshape(-1)
-    r = np.zeros((n + 1, n + 1), dtype=complex)
-    r[:n, :n] = 0.5 * (a + a.conj().T)
-    r[:n, n] = b
-    r[n, :n] = b.conj()
-    return r
-
-
 def solve_relaxation(r_mat, tol=1e-6):
     """Unit-diagonal PSD relaxation of max [theta;1]^H R [theta;1]."""
     theta_bar, value = solve_sdp(SdpProblem(np.asarray(r_mat)), tol=tol)
@@ -147,30 +139,23 @@ def gaussian_randomization(theta_bar, r_mat, i_gr, rng):
     return PhaseShiftVector(theta[int(np.argmax(scores))])
 
 
-def proxy_exposure(delta, c_un, gamma_un):
-    """sum over allocated links of c^2 / gamma (the quantity phases minimize)."""
-    delta = np.asarray(delta, dtype=float)
-    total = 0.0
-    mask = delta > 0
-    if np.any(mask):
-        c = np.asarray(c_un, dtype=float)[mask]
-        g = np.asarray(gamma_un, dtype=float)[mask]
-        y = quad_transform_y(c, g)
-        total = float(np.sum(np.where(c > 0, c * y, 0.0)))
-    return total
-
-
-def optimize_phases(cascade, direct, delta, c_un, theta0, rng, eps2=1e-5,
-                    max_rounds=20, i_gr=100, sdp_tol=1e-6):
-    """Safeguarded y/theta alternation for one slot.
+def optimize_phases(cascade, direct, delta, c_un, theta0, rng):
+    """Batched minorization-maximization ascent on one slot's proxy exposure.
 
     cascade: (U, N_c, M_r, N) per-link reflected-path matrices; direct:
     (U, N_c, M_r) per-link direct-path vectors (both already include the
     current beamformers); delta: (U, N_c) allocation; c_un: (U, N_c) square
     roots of power_factor * SAR at the current beamformers.  Only the links
-    with delta > 0 are read: the work runs on their stacks, and each round's
-    lifted matrix is one weighted Gram of them (`lifting_matrix`).  Returns a
-    PhaseShiftVector whose proxy exposure never exceeds theta0's.
+    with delta > 0 are read.  The columns of one (N, 1 + MM_RESTARTS) matrix
+    ascend together: theta0 and random starts drawn from `rng`.  A step
+    e = C theta + d, theta <- exp(j angle(C^H (w e) + mu theta)) with
+    w = delta c^2 / gamma^2 is kept only if the column's value did not rise;
+    mu = 0 gives the plain step, and each rejected step doubles the column's
+    damping mu (in units of max |C^H (w e)|), which a kept step halves.  A
+    column stops when a kept step lowers its value by no more than MM_TOL
+    relative, when its damping passes MM_MAX_DAMP, or after MM_STEPS steps;
+    after RESTART_STEPS steps only the warm column and the best one go on.
+    Returns the best column if it beats theta0's proxy exposure, else theta0.
     """
     delta = np.asarray(delta, dtype=float)
     theta = np.asarray(theta0.values if isinstance(theta0, PhaseShiftVector) else theta0,
@@ -183,38 +168,52 @@ def optimize_phases(cascade, direct, delta, c_un, theta0, rng, eps2=1e-5,
         return PhaseShiftVector(theta)
 
     cascade = np.asarray(cascade)[mask]          # (L, M_r, N)
-    direct = np.asarray(direct)[mask]            # (L, M_r)
-    delta = delta[mask]
-    c_arr = np.asarray(c_un, dtype=float)[mask]
+    links, m_r = cascade.shape[:2]
+    flat = cascade.reshape(-1, n)                # (L*M_r, N)
+    flat_h = flat.conj().T
+    d = np.asarray(direct)[mask].reshape(-1, 1)  # (L*M_r, 1)
+    a = delta[mask] * np.asarray(c_un, dtype=float)[mask] ** 2
+    live = a > 0
 
-    def link_gains(phases):
-        return np.sum(np.abs(cascade @ phases + direct) ** 2, axis=-1)
+    def evaluate(phases):
+        """Received vectors, link gains and proxy values of phase columns;
+        a zero gain on a weighted link or a NaN input reads inf."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            e = flat @ phases + d
+            g = np.sum((e.real ** 2 + e.imag ** 2).reshape(links, m_r, -1), axis=1)
+            vals = np.sum(np.where(live[:, None], a[:, None] / g, 0.0), axis=0)
+        return e, g, np.where(np.isnan(vals), np.inf, vals)
 
-    gains = link_gains(theta)
-    best = proxy_exposure(delta, c_arr, gains)
-    y = quad_transform_y(c_arr, gains)
-
-    for _ in range(max_rounds):
-        r = lifting_matrix(cascade, direct, delta * y ** 2)
-        try:
-            lifted = solve_relaxation(r, tol=sdp_tol)
-        except SdpError as exc:
-            warnings.warn(f"phase relaxation failed, keeping current phases: {exc}",
-                          RuntimeWarning, stacklevel=2)
-            return PhaseShiftVector(theta)
-        candidate = gaussian_randomization(lifted.theta_bar, r, i_gr, rng)
-        cand_gains = link_gains(candidate.values)
-        try:
-            cand_val = proxy_exposure(delta, c_arr, cand_gains)
-        except InfeasibleError:
-            cand_val = np.inf
-        if cand_val <= best:
-            theta = candidate.values
-            gains = cand_gains
-            best = cand_val
-        y_new = quad_transform_y(c_arr, gains)
-        shift = float(np.linalg.norm(y_new - y))
-        y = y_new
-        if shift <= eps2 * max(1.0, float(np.linalg.norm(y))):
+    starts = np.exp(2j * np.pi * rng.random((n, MM_RESTARTS)))
+    thetas = np.concatenate([theta[:, None], starts], axis=1)
+    e, g, vals = evaluate(thetas)
+    quad_transform_y(a, g[:, 0])  # raises InfeasibleError on a zero-gain link
+    start_val = vals[0]
+    active = np.isfinite(vals)
+    damp = np.zeros(thetas.shape[1])
+    for step in range(MM_STEPS):
+        if step == RESTART_STEPS:
+            active[1:] &= np.arange(1, thetas.shape[1]) == np.argmin(vals)
+        cols = np.flatnonzero(active)
+        if cols.size == 0:
             break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w = np.repeat(np.where(live[:, None], a[:, None] / g[:, cols] ** 2, 0.0),
+                          m_r, axis=0)
+            grad = flat_h @ (w * e[:, cols])
+            mu = damp[cols] * np.max(np.abs(grad), axis=0)
+            cand = np.exp(1j * np.angle(grad + mu * thetas[:, cols]))
+            cand_e, cand_g, cand_vals = evaluate(cand)
+            keep = cand_vals <= vals[cols]
+            gain = vals[cols] - cand_vals > MM_TOL * vals[cols]
+        kept = cols[keep]
+        thetas[:, kept] = cand[:, keep]
+        e[:, kept] = cand_e[:, keep]
+        g[:, kept] = cand_g[:, keep]
+        vals[kept] = cand_vals[keep]
+        damp[cols] = np.where(keep, 0.5 * damp[cols], np.maximum(2.0 * damp[cols], 1.0))
+        active[cols] = np.where(keep, gain, damp[cols] <= MM_MAX_DAMP)
+    best = int(np.argmin(vals))
+    if vals[best] < start_val:
+        theta = thetas[:, best]
     return PhaseShiftVector(theta)

@@ -74,3 +74,18 @@ def test_power_observer_reads_every_power_solve_of_a_desk_run():
         run_ao(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1, knobs=MC_KNOBS)
     assert tracer.totals()["power_control.allocate_power"][0] > 0
     assert tracer.counts["power_control.allocate_power.raised"] == 0
+
+
+def test_phase_block_runs_without_the_sdp_on_a_fixed_surface_run():
+    # the phase block is an ascent: its SDP and randomization counters read 0
+    # while the phase block itself is called, and no fallback is counted
+    tracer = instrument.Tracer()
+    with ExitStack() as stack:
+        tracer.install(stack)
+        baseline_fixed_ris(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1,
+                           knobs=MC_KNOBS)
+    totals = tracer.totals()
+    assert totals["ris_phase.optimize_phases"][0] > 0
+    assert totals["convex_kernels.solve_sdp"][0] == 0
+    assert totals["ris_phase.gaussian_randomization"][0] == 0
+    assert tracer.counts["ris_phase.fallbacks"] == 0

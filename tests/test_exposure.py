@@ -8,11 +8,34 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aris_emf.exposure import (ExposureReport, InfeasibleError, SarModel,
-                               achievable_rate, default_sar_model,
-                               exposure_index, load_sar_model,
-                               min_power_for_rate, reference_sar,
-                               sar_vs_lobe_angle, user_exposure)
+                               default_sar_model, exposure_index,
+                               load_sar_model, min_power_for_rate,
+                               reference_sar)
 from aris_emf.exposure import _sar_floor
+
+
+def achievable_rate(delta, p, gamma, w, sigma2):
+    """Uplink rate w*delta*log2(1 + p*gamma/sigma2) in bits/s."""
+    return w * delta * np.log2(1.0 + p * gamma / sigma2)
+
+
+def user_exposure(delta, p, sar):
+    """Per-slot exposure of one user: sum_n delta_n * p_n * SAR_n (W/kg before duration scaling)."""
+    return float(np.sum(np.asarray(delta, dtype=float) * np.asarray(p, dtype=float)
+                        * np.asarray(sar, dtype=float)))
+
+
+def sar_vs_lobe_angle(model, phi_deg, spacing=0.5):
+    """Reference SAR of a unit two-antenna beam steered to angle phi (degrees).
+
+    Steering a 2-element array with element spacing `spacing` (in
+    wavelengths) to angle phi requires the relative phase
+    beta2 = -2*pi*spacing*sin(phi); amplitudes are (1, 1).
+    """
+    phi = np.deg2rad(np.asarray(phi_deg, dtype=float))
+    beta2 = -2.0 * np.pi * spacing * np.sin(phi)
+    alpha = np.stack([np.ones_like(beta2), np.ones_like(beta2)])
+    return reference_sar(model, alpha, beta2)
 
 
 def sar_oracle(b, a1, a2, beta2):

@@ -11,9 +11,7 @@ from aris_emf.ris_phase import (
     LiftedSolution,
     PhaseShiftVector,
     gaussian_randomization,
-    lifting_matrix,
     optimize_phases,
-    proxy_exposure,
     quad_transform_y,
     solve_relaxation,
     uniform_phases,
@@ -32,6 +30,40 @@ def lifting_terms(cascade, direct):
     a = c.conj().T @ c
     b = c.conj().T @ d
     return 0.5 * (a + a.conj().T), b, float(np.vdot(d, d).real)
+
+
+def proxy_exposure(delta, c_un, gamma_un):
+    """sum over allocated links of c^2 / gamma (the quantity phases minimize)."""
+    delta = np.asarray(delta, dtype=float)
+    total = 0.0
+    mask = delta > 0
+    if np.any(mask):
+        c = np.asarray(c_un, dtype=float)[mask]
+        g = np.asarray(gamma_un, dtype=float)[mask]
+        y = quad_transform_y(c, g)
+        total = float(np.sum(np.where(c > 0, c * y, 0.0)))
+    return total
+
+
+def lifting_matrix(cascade, direct, w):
+    """Weighted homogeneous quadratic form of the active links, as one Gram.
+
+    cascade: (L, M_r, N); direct: (L, M_r); w: (L,) nonnegative weights.  The
+    result R is (N+1, N+1) Hermitian with [theta; 1]^H R [theta; 1]
+    = sum_l w_l (||C_l theta + d_l||^2 - ||d_l||^2).  The A block is
+    X^H X with X the sqrt(w)-weighted cascades stacked to (L*M_r, N), and the
+    border is one matvec, so no per-link N x N block is ever formed.
+    """
+    n = cascade.shape[-1]
+    flat = cascade.reshape(-1, n)
+    scaled = (np.sqrt(w)[:, None, None] * cascade).reshape(-1, n)
+    a = scaled.conj().T @ scaled
+    b = flat.conj().T @ (w[:, None] * direct).reshape(-1)
+    r = np.zeros((n + 1, n + 1), dtype=complex)
+    r[:n, :n] = 0.5 * (a + a.conj().T)
+    r[:n, n] = b
+    r[n, :n] = b.conj()
+    return r
 
 
 def build_lifting_matrix(delta, y, a_un, b_un):
@@ -271,7 +303,7 @@ def test_optimize_phases_never_increases_proxy():
         theta0 = uniform_phases(4)
         before = proxy_exposure(delta, c_un, gains_at(cascade, direct, theta0.values))
         theta = optimize_phases(cascade, direct, delta, c_un, theta0,
-                                rng_stream(77, trial, 0, 0, 4), i_gr=20, max_rounds=3)
+                                rng_stream(77, trial, 0, 0, 4))
         after = proxy_exposure(delta, c_un, gains_at(cascade, direct, theta.values))
         assert np.allclose(np.abs(theta.values), 1.0)
         if after > before + 1e-12:
@@ -285,7 +317,7 @@ def test_optimize_phases_near_exhaustive_tiny_instance():
     delta = np.ones((1, 1))
     c_un = np.array([[1.3]])
     theta = optimize_phases(cascade, direct, delta, c_un, uniform_phases(3),
-                            np.random.default_rng(9), i_gr=200)
+                            np.random.default_rng(9))
     got = proxy_exposure(delta, c_un, gains_at(cascade, direct, theta.values))
     levels = np.exp(2j * math.pi * np.arange(32) / 32)
     grids = np.meshgrid(*([levels] * 3), indexing="ij")
@@ -307,35 +339,117 @@ def test_optimize_phases_ignores_inactive_links():
     nan_c, nan_d = cascade.copy(), direct.copy()
     nan_c[idle], nan_d[idle] = np.nan, np.nan
     want = optimize_phases(zeroed_c, zeroed_d, delta, c_un, uniform_phases(5),
-                           np.random.default_rng(17), i_gr=20, max_rounds=3)
+                           np.random.default_rng(17))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = optimize_phases(nan_c, nan_d, delta, c_un, uniform_phases(5),
-                              np.random.default_rng(17), i_gr=20, max_rounds=3)
+                              np.random.default_rng(17))
     assert np.array_equal(got.values, want.values)
 
 
-def test_optimize_phases_huge_tolerance_stops_after_one_round():
-    rng = np.random.default_rng(10)
+def test_optimize_phases_input_checks():
+    rng = np.random.default_rng(18)
     cascade, direct = random_links(rng, users=1, res=2, ants=2, elems=4)
     delta = np.ones((1, 2))
-    c_un = np.ones((1, 2))
-    theta = optimize_phases(cascade, direct, delta, c_un, uniform_phases(4),
-                            np.random.default_rng(11), eps2=1e9, i_gr=10)
-    assert isinstance(theta, PhaseShiftVector)
+    with pytest.raises(ValueError, match="surface has 4 elements"):
+        optimize_phases(cascade, direct, delta, np.ones((1, 2)), uniform_phases(3),
+                        np.random.default_rng(0))
+    cascade[0, 1], direct[0, 1] = 0.0, 0.0
+    with pytest.raises(InfeasibleError, match="zero gain"):
+        optimize_phases(cascade, direct, delta, np.ones((1, 2)), uniform_phases(4),
+                        np.random.default_rng(0))
 
 
-def test_optimize_phases_sdp_failure_warns_and_keeps_input(monkeypatch):
-    def boom(problem, tol=1e-7):
-        raise SdpError("forced failure")
-    monkeypatch.setattr("aris_emf.ris_phase.solve_sdp", boom)
-    rng = np.random.default_rng(12)
-    cascade, direct = random_links(rng, users=1, res=1, ants=2, elems=4)
-    theta0 = uniform_phases(4)
-    with pytest.warns(RuntimeWarning, match="keeping current phases"):
-        theta = optimize_phases(cascade, direct, np.ones((1, 1)), np.ones((1, 1)),
-                                theta0, np.random.default_rng(13))
-    assert np.array_equal(theta.values, theta0.values)
+def sdr_rounds(cascade, direct, delta, c_un, theta, rng, rounds=3, draws=100):
+    """Proxy exposure after `rounds` SDR + randomization rounds of the
+    quadratic transform, each candidate kept only if the proxy did not rise."""
+    mask = delta > 0
+    c = c_un[mask]
+    gains = gains_at(cascade, direct, theta)[mask]
+    best = proxy_exposure(delta[mask], c, gains)
+    for _ in range(rounds):
+        y = quad_transform_y(c, gains)
+        r = lifting_matrix(cascade[mask], direct[mask], y ** 2)
+        lifted = solve_relaxation(r, tol=1e-6)
+        cand = gaussian_randomization(lifted.theta_bar, r, draws, rng).values
+        cand_gains = gains_at(cascade, direct, cand)[mask]
+        try:
+            value = proxy_exposure(delta[mask], c, cand_gains)
+        except InfeasibleError:
+            value = np.inf
+        if value <= best:
+            gains, best = cand_gains, value
+    return best
+
+
+def sdp_upper_bound(r, theta_bar):
+    """Weak-duality bound on the SDP value of max [t;1]^H R [t;1], |t_i| = 1.
+
+    The dual variable y = Re diag(R X) of the relaxation's solution X makes
+    (diag(y) - R) X = 0 hold on the diagonal, and s = max(lambda_max(R -
+    diag(y)), 0) gives R <= diag(y) + s I, so sum(y) + (N+1) s bounds every
+    feasible point and the relaxation.  The solver's primal value tr(R X) =
+    sum(y) can sit up to its gap tolerance below the SDP value; this cannot.
+    """
+    y = np.einsum("ij,ji->i", r, theta_bar).real
+    s = max(float(np.linalg.eigvalsh(r - np.diag(y))[-1]), 0.0)
+    return float(y.sum()) + y.size * s
+
+
+# random_links shapes (users, res, ants, elems) and direct-path scales: three
+# surface-dominated sets and one where the direct path dominates
+ORACLE_SETS = (((2, 4, 2, 8), 1.0), ((3, 4, 4, 16), 1.0), ((2, 2, 2, 4), 1.0),
+               ((2, 4, 2, 8), 1.0 / 0.05))
+
+
+def test_optimize_phases_matches_three_sdr_rounds_and_respects_the_bound():
+    worse, over_bound = [], []
+    for index, ((users, res, ants, elems), direct_scale) in enumerate(ORACLE_SETS):
+        for k in range(100):
+            rng = np.random.default_rng([19, index, k])
+            cascade, direct = random_links(rng, users, res, ants, elems)
+            direct = direct * direct_scale
+            delta = np.zeros((users, res))
+            delta[rng.integers(users, size=res), np.arange(res)] = 1.0
+            c_un = rng.uniform(0.5, 2.0, size=(users, res)) * delta
+            theta0 = np.exp(2j * math.pi * rng.random(elems))
+            want = sdr_rounds(cascade, direct, delta, c_un, theta0,
+                              np.random.default_rng([20, index, k]))
+            theta = optimize_phases(cascade, direct, delta, c_un, theta0,
+                                    np.random.default_rng([21, index, k])).values
+            gains = gains_at(cascade, direct, theta)
+            got = proxy_exposure(delta, c_un, gains)
+            if got > (1.0 + 1e-12) * want:
+                worse.append((index, k, got / want - 1.0))
+            mask = delta > 0
+            y = quad_transform_y(c_un[mask], gains[mask])
+            r = lifting_matrix(cascade[mask], direct[mask], y ** 2)
+            lifted = np.concatenate([theta, [1.0]])
+            form = float((lifted.conj() @ r @ lifted).real)
+            bound = sdp_upper_bound(r, solve_relaxation(r, tol=1e-9).theta_bar)
+            if form > bound + 1e-9 * abs(bound):
+                over_bound.append((index, k, form / bound - 1.0))
+    assert worse == []
+    assert over_bound == []
+
+
+def test_optimize_phases_at_benchmark_size_is_repeatable_and_silent():
+    rng = np.random.default_rng(22)
+    users, res, ants, elems = 4, 20, 32, 80
+    cascade, direct = random_links(rng, users, res, ants, elems)
+    delta = np.ones((users, res))
+    c_un = rng.uniform(0.5, 2.0, size=(users, res))
+    theta0 = np.exp(2j * math.pi * rng.random(elems))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = optimize_phases(cascade, direct, delta, c_un, theta0,
+                                np.random.default_rng(23))
+        second = optimize_phases(cascade, direct, delta, c_un, theta0,
+                                 np.random.default_rng(23))
+    assert np.array_equal(first.values, second.values)
+    before = proxy_exposure(delta, c_un, gains_at(cascade, direct, theta0))
+    after = proxy_exposure(delta, c_un, gains_at(cascade, direct, first.values))
+    assert after < before
 
 
 def test_solve_relaxation_wraps_solution():
