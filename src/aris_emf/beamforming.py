@@ -1,4 +1,4 @@
-"""Per-resource-element transmit beamformer search.
+"""Transmit beamformer search for one resource element or a stack of them.
 
 A two-antenna beamformer is parametrized by the second antenna's power
 weight alpha2 in [0, ALPHA2_MAX] and relative phase beta2 (the first
@@ -22,6 +22,10 @@ and the exact minimum over s lies at an end of [0, sqrt(ALPHA2_MAX)] or at
 one of its real roots inside.  What is left is a search in beta2 alone: the
 closed-form minimum over s on a fixed beta2 grid, then nested grid
 refinements around the best phase, each keeping the best point found so far.
+
+`optimize_beamformer` also takes a (..., 2, 2) stack of Gram matrices, such
+as a slot's active links, and runs their searches together on (links,
+phases) arrays; each link ends where a call on its matrix alone would.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import TWO_PI, Beamformer
+from .channel import TWO_PI, Beamformer, beam_array, expanded_gain, gram_terms
 from .exposure import ALPHA2_MAX, InfeasibleError, power_factor, sar_harmonic
 
 BETA_GRID = 256       # coarse beta2 points over [0, 2pi)
@@ -43,17 +47,16 @@ S_MAX = math.sqrt(ALPHA2_MAX)
 
 @dataclass(frozen=True)
 class BeamConstants:
-    """Rate/noise constants fixing the power factor of one resource element."""
+    """Rate/noise constants fixing the power factor of resource elements."""
 
-    rbar: float          # rate share carried on this RE (bit/s)
+    rbar: object         # rate share(s) carried on the RE(s) (bit/s), float or array
     sigma2: float        # noise power in one RE bandwidth (W)
     bandwidth: float     # RE bandwidth w (Hz)
-    delta: float = 1.0   # allocation indicator, 0 or 1
 
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.rbar < 0 or self.sigma2 < 0:
+        if np.any(np.asarray(self.rbar) < 0) or self.sigma2 < 0:
             raise ValueError("rate share and noise power must be non-negative")
 
     @property
@@ -64,24 +67,24 @@ class BeamConstants:
 
 @dataclass(frozen=True)
 class DinkelbachState:
-    """Final ratio value, beamformer, and per-pass trace of one beam search."""
+    """Final ratio value, beams, and per-pass trace of one beam search
+    (arrays for a stack, with the passes on lam_history's last axis)."""
 
-    lam: float
-    beamformer: Beamformer
+    lam: object
+    beamformer: object
     iterations: int
     converged: bool
-    lam_history: tuple
+    lam_history: object
 
 
-def _pair_terms(k_mat):
-    k_mat = np.asarray(k_mat)
-    if k_mat.shape != (2, 2):
+def _checked_terms(k_mat):
+    """Gram terms of a (..., 2, 2) stack, after checking it is Hermitian."""
+    if k_mat.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 Gram matrix, got shape {k_mat.shape}")
-    scale = float(np.max(np.abs(k_mat)))
-    if scale > 0 and float(np.max(np.abs(k_mat - k_mat.conj().T))) > 1e-9 * scale:
+    skew = np.max(np.abs(k_mat - np.swapaxes(k_mat.conj(), -1, -2)), axis=(-2, -1))
+    if np.any(skew > 1e-9 * np.max(np.abs(k_mat), axis=(-2, -1))):
         raise ValueError("Gram matrix must be Hermitian")
-    k12 = complex(k_mat[0, 1])
-    return float(k_mat[0, 0].real), float(k_mat[1, 1].real), abs(k12), math.atan2(k12.imag, k12.real)
+    return gram_terms(k_mat)
 
 
 def pair_gain(k_mat, alpha2, beta2):
@@ -89,9 +92,8 @@ def pair_gain(k_mat, alpha2, beta2):
 
     Vectorized over alpha2/beta2 arrays.
     """
-    k11, k22, k12a, k12p = _pair_terms(k_mat)
-    alpha2 = np.asarray(alpha2, dtype=float)
-    return k11 + alpha2 * k22 + 2.0 * np.sqrt(alpha2) * k12a * np.cos(beta2 + k12p)
+    return expanded_gain(_checked_terms(np.asarray(k_mat)),
+                         np.asarray(alpha2, dtype=float), beta2)
 
 
 @lru_cache(maxsize=8)
@@ -100,12 +102,15 @@ def _coarse_grid(model):
     return beta, sar_harmonic(model, beta)
 
 
-def _min_over_s(b, harm, beta, k11, k22, k12a, k12p):
-    """Exact minimum of SAR/gamma over s in [0, S_MAX] at each phase in beta.
+def _min_over_s(b, harm, beta, terms):
+    """Exact minimum of SAR/gamma over s in [0, S_MAX] at each link's phases.
 
-    harm is the SAR's harmonic series at beta.  Returns (ratio, s); the
-    ratio is inf where no s gives positive gain.
+    terms are the links' (L,) Gram terms; beta, and harm (the SAR's harmonic
+    series at beta), are (P,) phases shared by every link or (L, P) phases
+    of each.  Returns (ratio, s), each (L, P); the ratio is inf where no s
+    gives positive gain.
     """
+    k11, k22, k12a, k12p = (t[:, None] for t in terms)
     n0, n1, n2 = b[0] + b[3] * harm, b[1] + b[4] * harm, b[2] + b[5] * harm
     d0, d1, d2 = k11, 2.0 * k12a * np.cos(beta + k12p), k22
     qa, qb, qc = n2 * d1 - n1 * d2, n2 * d0 - n0 * d2, n1 * d0 - n0 * d1
@@ -117,41 +122,51 @@ def _min_over_s(b, harm, beta, k11, k22, k12a, k12p):
         s = np.where((s >= 0.0) & (s <= S_MAX), s, 0.0)
         den = d0 + s * (d1 + s * d2)
         ratio = np.where(den > 0.0, (n0 + s * (n1 + s * n2)) / den, np.inf)
-    pick = np.argmin(ratio, axis=0)
-    cols = np.arange(beta.size)
-    return ratio[pick, cols], s[pick, cols]
+    pick = np.argmin(ratio, axis=0)[None]
+    return np.take_along_axis(ratio, pick, 0)[0], np.take_along_axis(s, pick, 0)[0]
 
 
 def optimize_beamformer(k_mat, model, constants):
-    """Ratio-minimizing beamformer for one (user, resource element).
+    """Ratio-minimizing beamformers of one (user, resource element) or a stack.
 
-    Returns (Beamformer, DinkelbachState).  lam_history holds the coarse
-    grid's ratio and then the best ratio after each refinement pass, so it
-    never rises; iterations counts the passes.
+    One 2x2 Gram matrix returns (Beamformer, DinkelbachState) with float
+    lam and a tuple lam_history; a (..., 2, 2) stack returns a beam record
+    array of shape (...) and a DinkelbachState whose lam and lam_history
+    are arrays.  lam_history holds the coarse grid's ratio and then the best
+    ratio after each refinement pass, so it never rises; iterations counts
+    the passes.  Raises InfeasibleError if some matrix gives no beam a
+    positive gain.
     """
-    k_terms = _pair_terms(k_mat)
-    if constants.delta == 0:
-        bf = Beamformer((1.0, 0.0), (0.0, 0.0))
-        return bf, DinkelbachState(0.0, bf, 0, True, (0.0,))
+    k_mat = np.asarray(k_mat)
+    terms = [np.reshape(t, -1) for t in _checked_terms(k_mat)]
+    lead = k_mat.shape[:-2]
+    links = np.arange(terms[0].size)
 
     beta, harm = _coarse_grid(model)
-    ratio, s = _min_over_s(model.b, harm, beta, *k_terms)
-    i = int(np.argmin(ratio))
-    if math.isinf(ratio[i]):
+    ratio, s = _min_over_s(model.b, harm, beta, terms)
+    i = np.argmin(ratio, axis=1)
+    best = np.stack([ratio[links, i], s[links, i], beta[i]])   # ratio, s, beta2
+    if np.any(np.isinf(best[0])):
         raise InfeasibleError("no beamformer achieves positive gain")
-    best = (float(ratio[i]), float(s[i]), float(beta[i]))
     history = [best[0]]
     step = TWO_PI / BETA_GRID
     for _ in range(REFINE_PASSES):
-        beta = best[2] + np.linspace(-step, step, REFINE_POINTS)
-        ratio, s = _min_over_s(model.b, sar_harmonic(model, beta), beta, *k_terms)
-        i = int(np.argmin(ratio))
-        if ratio[i] < best[0]:
-            best = (float(ratio[i]), float(s[i]), float(beta[i]))
+        beta = best[2][:, None] + np.linspace(-step, step, REFINE_POINTS)
+        ratio, s = _min_over_s(model.b, sar_harmonic(model, beta), beta, terms)
+        i = np.argmin(ratio, axis=1)
+        found = np.stack([ratio[links, i], s[links, i], beta[links, i]])
+        best = np.where(found[0] < best[0], found, best)
         history.append(best[0])
         step *= 2.0 / (REFINE_POINTS - 1)
 
-    c = constants.power_factor
-    lam_history = tuple(c * r for r in history)
-    bf = Beamformer((1.0, best[1] ** 2), (0.0, best[2] % TWO_PI))
-    return bf, DinkelbachState(lam_history[-1], bf, REFINE_PASSES, True, lam_history)
+    c = np.asarray(constants.power_factor)
+    lam_history = c[..., None] * np.stack(history, axis=-1).reshape(lead + (-1,))
+    alpha2 = (best[1] ** 2).reshape(lead)
+    beta2 = (best[2] % TWO_PI).reshape(lead)
+    if not lead:
+        bf = Beamformer((1.0, float(alpha2)), (0.0, float(beta2)))
+        lam_history = tuple(float(v) for v in lam_history)
+        return bf, DinkelbachState(lam_history[-1], bf, REFINE_PASSES, True, lam_history)
+    beams = beam_array(lead, alpha2, beta2)
+    return beams, DinkelbachState(lam_history[..., -1], beams, REFINE_PASSES, True,
+                                  lam_history)

@@ -60,54 +60,51 @@ class Beamformer:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
-    @property
-    def vector(self):
-        """Complex antenna weights f_i = sqrt(alpha_i) * exp(j beta_i)."""
-        return np.sqrt(np.asarray(self.alpha)) * np.exp(1j * np.asarray(self.beta))
+
+# Many beams at once: a record array with the Beamformer's two fields, each
+# a float (..., 2) array under the same convention (alpha_1 = 1, beta_1 = 0).
+BEAM_DTYPE = np.dtype([("alpha", float, (2,)), ("beta", float, (2,))])
 
 
-def gain_from_quadratic(k_mat, alpha, beta):
-    """Beamforming gain from the channel Gram matrix via the expanded cosine form.
-
-    gamma = sum_i alpha_i k_ii
-          + 2 sum_{i<j} sqrt(alpha_i alpha_j) |k_ij| cos(beta_j - beta_i + arg k_ij)
-    """
-    k_mat = np.asarray(k_mat)
-    m = k_mat.shape[0]
-    total = 0.0
-    for i in range(m):
-        total += alpha[i] * k_mat[i, i].real
-    for i in range(m):
-        for j in range(i + 1, m):
-            kij = k_mat[i, j]
-            total += 2.0 * math.sqrt(alpha[i] * alpha[j]) * abs(kij) \
-                * math.cos(beta[j] - beta[i] + np.angle(kij))
-    return float(total)
+def beam_array(shape, alpha2, beta2):
+    """Beam record array of the given shape, filled with ((1, alpha2), (0, beta2))."""
+    beams = np.zeros(shape, dtype=BEAM_DTYPE).view(np.recarray)
+    beams.alpha[..., 0] = 1.0
+    beams.alpha[..., 1] = alpha2
+    beams.beta[..., 1] = beta2
+    return beams
 
 
-def channel_gain(h_eff, f):
-    """Beamforming gain gamma = ||H f||^2, evaluated via the expanded form."""
+def beam_vector(beams):
+    """(..., 2) weights sqrt(alpha) exp(j beta) of a Beamformer or beam array."""
+    return np.sqrt(np.asarray(beams.alpha)) * np.exp(1j * np.asarray(beams.beta))
+
+
+def gram(h_eff):
+    """(..., M_t, M_t) Gram matrices H^H H of a stack of channels."""
     h_eff = np.asarray(h_eff)
-    k_mat = h_eff.conj().T @ h_eff
-    if isinstance(f, Beamformer):
-        return gain_from_quadratic(k_mat, f.alpha, f.beta)
-    f = np.asarray(f)
-    alpha = np.abs(f) ** 2
-    beta = np.angle(f)
-    return gain_from_quadratic(k_mat, alpha, beta)
+    return np.swapaxes(h_eff.conj(), -1, -2) @ h_eff
 
 
-def gain_decomposition(hbar, gbar, hd_mat, f_vec, theta, rho):
-    """Distance-free split of the gain: gamma = a/(d1^k1 d2^k2) + b/sqrt(d1^k1 d2^k2) + ||Hd f||^2.
+def gram_terms(k_mat):
+    """(k11, k22, |k12|, arg k12) of a (..., 2, 2) Gram stack."""
+    k12 = k_mat[..., 0, 1]
+    return k_mat[..., 0, 0].real, k_mat[..., 1, 1].real, np.abs(k12), np.angle(k12)
 
-    hbar, gbar are the unit-scale Rician mixtures (pathloss removed);
-    hd_mat is the full direct channel. Returns (a, b).
-    """
-    cascade = np.asarray(hbar) @ (np.asarray(theta)[:, None] * np.asarray(gbar)) @ np.asarray(f_vec)
-    direct = np.asarray(hd_mat) @ np.asarray(f_vec)
-    a = rho ** 2 * float(np.vdot(cascade, cascade).real)
-    b = 2.0 * rho * float(np.vdot(direct, cascade).real)
-    return a, b
+
+def expanded_gain(terms, alpha2, beta2):
+    """k11 + alpha2 k22 + 2 sqrt(alpha2) |k12| cos(beta2 + arg k12): the gain
+    of the beam ((1, alpha2), (0, beta2)) against the Gram terms."""
+    k11, k22, k12a, k12p = terms
+    return k11 + alpha2 * k22 + 2.0 * np.sqrt(alpha2) * k12a * np.cos(beta2 + k12p)
+
+
+def channel_gain(h_eff, beams):
+    """Gain ||H f||^2 via the expanded form: a float for one (M_r, 2) channel
+    and a Beamformer, an array for a stack and a beam array of its shape."""
+    gain = expanded_gain(gram_terms(gram(h_eff)), np.asarray(beams.alpha)[..., 1],
+                         np.asarray(beams.beta)[..., 1])
+    return float(gain) if np.ndim(gain) == 0 else gain
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +141,19 @@ class ChannelRealization:
         return np.sqrt(self.rho * self.d_rb ** (-self.kappa2))
 
     def effective(self, ell, n, u, theta):
-        """Full effective channel H Theta G + Hd for one (slot, RE, user)."""
-        if self.gbar.size == 0:
-            return self.hd[ell, n, u]
+        """(..., M_r, M_t) channels H Theta G + Hd of slot ell's links (n, u)."""
         scale = self.h_scale[ell] * self.g_scale[ell, u]
         casc = self.hbar[ell, n] @ (np.asarray(theta)[:, None] * self.gbar[ell, n, u])
-        return scale * casc + self.hd[ell, n, u]
+        return scale[..., None, None] * casc + self.hd[ell, n, u]
 
-    def cascade_and_direct(self, ell, n, u, f_vec):
-        """(H diag(G f), Hd f) with full pathloss scaling, for the phase optimizer."""
+    def cascade_and_direct(self, ell, n, u, f):
+        """(..., M_r, N) cascades H diag(G f) and (..., M_r) direct paths Hd f,
+        pathloss included, of slot ell's links (n, u) under weights f."""
         scale = self.h_scale[ell] * self.g_scale[ell, u]
-        g_f = self.gbar[ell, n, u] @ f_vec          # (N,)
-        hdg = scale * (self.hbar[ell, n] * g_f[None, :])   # (M_r, N) = H diag(Gf)
-        return hdg, self.hd[ell, n, u] @ f_vec
+        f = np.asarray(f)[..., None]
+        g_f = (self.gbar[ell, n, u] @ f)[..., 0]                      # (..., N)
+        hdg = scale[..., None, None] * (self.hbar[ell, n] * g_f[..., None, :])
+        return hdg, (self.hd[ell, n, u] @ f)[..., 0]
 
 
 class ChannelSet:

@@ -281,7 +281,8 @@ def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=Fal
             # that gives, so its warning carries no information
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 while alpha > 1e-14:
-                    if barrier_value(t, x + alpha * dx) <= phi0 + 0.3 * alpha * gd:
+                    phi = barrier_value(t, x + alpha * dx)
+                    if phi <= phi0 + 0.3 * alpha * gd:
                         break
                     alpha *= 0.8
                 else:
@@ -291,6 +292,8 @@ def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=Fal
                     raise ConvexSolverError("line-search failure while centering")
             x = x + alpha * dx
             newton_used += 1
+            if phi >= phi0:  # centered as far as the barrier value resolves
+                break
         else:
             raise ConvexSolverError("centering did not converge")
 

@@ -21,14 +21,13 @@ every accepted block.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .beamforming import BeamConstants, optimize_beamformer
-from .channel import (STREAM_GR, STREAM_RANDOM_PHASE, Beamformer, ChannelSet,
-                      channel_gain, gain_decomposition, rng_stream)
+from .channel import (STREAM_GR, STREAM_RANDOM_PHASE, ChannelSet, beam_array,
+                      beam_vector, channel_gain, gram, rng_stream)
 from .exposure import (ExposureReport, InfeasibleError, exposure_index,
                        power_factor, reference_sar)
 from .power_control import allocate_power
@@ -36,9 +35,10 @@ from .re_alloc import allocate
 from .ris_phase import PhaseShiftVector, optimize_phases, uniform_phases
 from .trajectory import GainField, Trajectory, optimize_trajectory, straight_trajectory
 
-NEUTRAL_BEAM = Beamformer(alpha=(1.0, 1.0), beta=(0.0, 0.0))
+NEUTRAL_BEAM = (1.0, 0.0)  # (alpha2, beta2) of every beam the search has not set
 REL_TOL = 1e-12          # per-RE beam acceptance slack
 CAP_SLACK = 1e-9         # relative slack on per-user power caps
+SLOT_ARRAYS = ("delta", "shares", "powers", "gamma", "sar", "beams", "thetas")
 
 # Path-block budgets during one AO run.  They favor speed on repeated
 # Monte Carlo runs; the per-module defaults (used when calling the path
@@ -72,8 +72,8 @@ class AoKnobs:
 class SolutionState:
     """Everything the alternating loop owns, plus cached per-link numbers.
 
-    delta/shares/powers/gamma/sar have shape (N_T, U, N_c); beams is an
-    object array of the same shape holding a Beamformer wherever delta = 1;
+    delta/shares/powers/gamma/sar have shape (N_T, U, N_c); beams is a float
+    record array of that shape with fields alpha and beta, each (..., 2);
     thetas is (N_T, N) unit-modulus.  trace collects per-block exposure
     deltas; counters tallies inner-solver work.
     """
@@ -101,9 +101,6 @@ class SolutionState:
     def exposure(self):
         return exposure_index(self.per_user_exposure(),
                               self.scenario.params.slot_duration)
-
-    def slot_exposure(self, ell):
-        return float(np.sum(self.delta[ell] * self.powers[ell] * self.sar[ell]))
 
     def slot_rates(self, ell):
         """(U,) achieved rates in slot ell from the cached gains."""
@@ -156,15 +153,17 @@ class SolutionState:
         return True
 
 
-def _sar_of(beam, model):
-    return float(reference_sar(model, np.asarray(beam.alpha), beam.beta[1]))
+def _sar_of(beams, model):
+    """Reference SAR of every beam in a record array."""
+    return reference_sar(model, np.moveaxis(beams.alpha, -1, 0), beams.beta[..., 1])
 
 
-def _exposure_weight(state, ell, u, n):
-    """c = sqrt(power_factor * SAR): the link's exposure is c^2 / gain."""
+def _exposure_weight(state, ell):
+    """(U, N_c) c = sqrt(power_factor * SAR) of slot ell: a link's exposure
+    is c^2 / gain."""
     p = state.scenario.params
-    return math.sqrt(power_factor(state.shares[ell, u, n], p.noise_per_re,
-                                  p.bandwidth_per_re) * state.sar[ell, u, n])
+    return np.sqrt(power_factor(state.shares[ell], p.noise_per_re,
+                                p.bandwidth_per_re) * state.sar[ell])
 
 
 def _equality_powers(state, ell, gamma):
@@ -184,12 +183,11 @@ def _refresh(state):
     current channels, phases and beams, then its rate-equality powers."""
     sc = state.scenario
     for ell in range(sc.num_slots):
-        theta = state.thetas[ell]
-        for u, n in zip(*np.nonzero(state.delta[ell])):
-            beam = state.beams[ell, u, n]
-            h_eff = state.channels.effective(ell, n, u, theta)
-            state.gamma[ell, u, n] = channel_gain(h_eff, beam)
-            state.sar[ell, u, n] = _sar_of(beam, sc.sar_model)
+        u, n = np.nonzero(state.delta[ell])
+        beams = state.beams[ell, u, n]
+        h_eff = state.channels.effective(ell, n, u, state.thetas[ell])
+        state.gamma[ell, u, n] = channel_gain(h_eff, beams)
+        state.sar[ell, u, n] = _sar_of(beams, sc.sar_model)
         state.powers[ell] = _equality_powers(state, ell, state.gamma[ell])
 
 
@@ -211,7 +209,7 @@ def initialize_state(scenario, channel_set, path):
         scenario=scenario, channel_set=channel_set, channels=channels,
         trajectory=path, delta=np.zeros(shape), shares=np.zeros(shape),
         powers=np.zeros(shape), gamma=np.zeros(shape), sar=np.zeros(shape),
-        beams=np.empty(shape, dtype=object),
+        beams=beam_array(shape, *NEUTRAL_BEAM),
         thetas=np.tile(uniform_phases(p.num_ris_elements).values, (nt, 1)),
     )
     k1, k2 = p.ris_pathloss_exps
@@ -226,10 +224,7 @@ def initialize_state(scenario, channel_set, path):
             owner = allocate(scenario.rate_targets, np.ones(u), 1.0,
                              0.0, 0.0, p.bandwidth_per_re, nc)
         state.delta[ell] = owner.delta
-        for uu in range(u):
-            mask = owner.delta[uu] > 0
-            state.shares[ell, uu, mask] = scenario.rate_targets[uu] / owner.counts[uu]
-            state.beams[ell, uu, mask] = NEUTRAL_BEAM
+        state.shares[ell] = owner.delta * (scenario.rate_targets / owner.counts)[:, None]
     _refresh(state)
 
     spent = state.powers.sum(axis=2)
@@ -241,28 +236,30 @@ def initialize_state(scenario, channel_set, path):
 
 
 def _block_beams(state, ell, check_caps):
-    """Per-RE ratio minimization; returns candidate arrays or None."""
+    """Ratio-minimizing beams of the slot's active links, searched together;
+    each link keeps its incumbent unless the new beam's ratio is no worse.
+    Returns candidate arrays, or None when some link has no usable beam."""
     sc = state.scenario
     p = sc.params
-    beams = state.beams[ell].copy()
-    gamma = state.gamma[ell].copy()
-    sar = state.sar[ell].copy()
-    for u, n in zip(*np.nonzero(state.delta[ell])):
-        h_eff = state.channels.effective(ell, n, u, state.thetas[ell])
-        k_mat = h_eff.conj().T @ h_eff
-        consts = BeamConstants(rbar=float(state.shares[ell, u, n]),
-                               sigma2=p.noise_per_re, bandwidth=p.bandwidth_per_re)
-        try:
-            beam, _ = optimize_beamformer(k_mat, sc.sar_model, consts)
-        except InfeasibleError:
-            continue
-        state.counters["dinkelbach_calls"] += 1
-        new_gain = channel_gain(h_eff, beam)
-        new_sar = _sar_of(beam, sc.sar_model)
-        pf = power_factor(state.shares[ell, u, n], p.noise_per_re, p.bandwidth_per_re)
-        if new_gain > 0 and new_sar * pf / new_gain \
-                <= sar[u, n] * pf / max(gamma[u, n], 1e-300) * (1.0 + REL_TOL):
-            beams[u, n], gamma[u, n], sar[u, n] = beam, new_gain, new_sar
+    u, n = np.nonzero(state.delta[ell])
+    h_eff = state.channels.effective(ell, n, u, state.thetas[ell])
+    consts = BeamConstants(rbar=state.shares[ell, u, n], sigma2=p.noise_per_re,
+                           bandwidth=p.bandwidth_per_re)
+    try:
+        found, _ = optimize_beamformer(gram(h_eff), sc.sar_model, consts)
+    except InfeasibleError:
+        return None
+    state.counters["dinkelbach_calls"] += u.size
+    new_gain = channel_gain(h_eff, found)
+    new_sar = _sar_of(found, sc.sar_model)
+    pf = consts.power_factor
+    old_gain, old_sar = state.gamma[ell, u, n], state.sar[ell, u, n]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        take = (new_gain > 0) & (new_sar * pf / new_gain <= old_sar * pf
+                                 / np.maximum(old_gain, 1e-300) * (1.0 + REL_TOL))
+    u, n = u[take], n[take]
+    beams, gamma, sar = (arr[ell].copy() for arr in (state.beams, state.gamma, state.sar))
+    beams[u, n], gamma[u, n], sar[u, n] = found[take], new_gain[take], new_sar[take]
     powers = _equality_powers(state, ell, gamma)
     if check_caps and not _caps_ok(powers, p.p_max):
         return None
@@ -273,29 +270,19 @@ def _block_phases(state, ell, rng, check_caps):
     """Surface-phase refinement for one slot; returns candidate arrays or None."""
     sc = state.scenario
     p = sc.params
-    n_ris = p.num_ris_elements
-    if n_ris == 0:
+    if p.num_ris_elements == 0:
         return None
-    nc, u = p.num_subcarriers, p.num_users
-    cascade = np.zeros((u, nc, p.rx_antennas, n_ris), dtype=complex)
-    direct = np.zeros((u, nc, p.rx_antennas), dtype=complex)
-    c_un = np.zeros((u, nc))
-    delta = state.delta[ell].copy()
-    for uu, n in zip(*np.nonzero(delta)):
-        f_vec = state.beams[ell, uu, n].vector
-        hdg, hd_f = state.channels.cascade_and_direct(ell, n, uu, f_vec)
-        cascade[uu, n] = hdg
-        direct[uu, n] = hd_f
-        c_un[uu, n] = _exposure_weight(state, ell, uu, n)
-    theta = optimize_phases(cascade, direct, delta, c_un,
+    u, n = np.nonzero(state.delta[ell])
+    beams = state.beams[ell, u, n]
+    cascade, direct = state.channels.cascade_and_direct(ell, n, u, beam_vector(beams))
+    theta = optimize_phases(cascade, direct, np.ones(u.size),
+                            _exposure_weight(state, ell)[u, n],
                             PhaseShiftVector(state.thetas[ell]), rng)
     state.counters["phase_calls"] += 1
     if np.allclose(theta.values, state.thetas[ell], rtol=0, atol=1e-15):
         return None
     gamma = state.gamma[ell].copy()
-    for uu, n in zip(*np.nonzero(delta)):
-        h_eff = state.channels.effective(ell, n, uu, theta.values)
-        gamma[uu, n] = channel_gain(h_eff, state.beams[ell, uu, n])
+    gamma[u, n] = channel_gain(state.channels.effective(ell, n, u, theta.values), beams)
     powers = _equality_powers(state, ell, gamma)
     if check_caps and not _caps_ok(powers, p.p_max):
         return None
@@ -349,38 +336,27 @@ def _sweep_slots(state, phase_rngs, tune_phases, current, check_caps):
     return current
 
 
-def _clone_state(state):
-    """Scratch copy sharing scenario/channels/counters; arrays are copied."""
-    return SolutionState(
-        scenario=state.scenario, channel_set=state.channel_set,
-        channels=state.channels, trajectory=state.trajectory.copy(),
-        delta=state.delta.copy(), shares=state.shares.copy(),
-        powers=state.powers.copy(), gamma=state.gamma.copy(),
-        sar=state.sar.copy(), beams=state.beams.copy(),
-        thetas=state.thetas.copy(), trace=[], counters=state.counters)
-
-
 def _trajectory_field(state):
-    """Frozen-fading gain constants of every active link at the current state."""
-    sc = state.scenario
-    p = sc.params
+    """Frozen-fading gain constants of every active link at the current state.
+
+    A link's reflected path r = (H diag(G f)) theta carries the pathloss
+    rho / sqrt(s2), s2 = d_uR^k1 d_RB^k2, so a = |r|^2 s2 and
+    b = 2 Re(d^H r) sqrt(s2) are distance-free, with d = Hd f the direct path.
+    """
+    p = state.scenario.params
     ch = state.channels
-    shape = state.delta.shape
-    a_un = np.zeros(shape)
-    b_un = np.zeros(shape)
-    resid = np.zeros(shape)
-    c_un = np.zeros(shape)
-    for ell, u, n in zip(*np.nonzero(state.delta)):
-        f_vec = state.beams[ell, u, n].vector
-        a, b = gain_decomposition(ch.hbar[ell, n], ch.gbar[ell, n, u],
-                                  ch.hd[ell, n, u], f_vec, state.thetas[ell],
-                                  ch.rho)
-        a_un[ell, u, n] = a
-        b_un[ell, u, n] = b
-        hd_f = ch.hd[ell, n, u] @ f_vec
-        resid[ell, u, n] = float(np.vdot(hd_f, hd_f).real)
-        c_un[ell, u, n] = _exposure_weight(state, ell, u, n)
     k1, k2 = p.ris_pathloss_exps
+    a_un, b_un, resid, c_un = (np.zeros(state.delta.shape) for _ in range(4))
+    for ell in range(p.num_slots):
+        u, n = np.nonzero(state.delta[ell])
+        cascade, direct = ch.cascade_and_direct(ell, n, u,
+                                                beam_vector(state.beams[ell, u, n]))
+        refl = cascade @ state.thetas[ell]
+        s2 = ch.d_ur[ell, u] ** k1 * ch.d_rb[ell] ** k2
+        a_un[ell, u, n] = np.sum(refl.real ** 2 + refl.imag ** 2, axis=1) * s2
+        b_un[ell, u, n] = 2.0 * np.sum((direct.conj() * refl).real, axis=1) * np.sqrt(s2)
+        resid[ell, u, n] = np.sum(direct.real ** 2 + direct.imag ** 2, axis=1)
+        c_un[ell, u, n] = _exposure_weight(state, ell)[u, n]
     return GainField(state.delta.copy(), c_un, a_un, b_un, resid, k1, k2)
 
 
@@ -408,9 +384,11 @@ def _block_trajectory(state, phase_rngs, tune_phases):
     state.counters["sca_iters"] += max(len(history) - 1, 0)
     if np.allclose(new_traj.points, state.trajectory, rtol=0, atol=1e-12):
         return None
-    cand = _clone_state(state)
-    cand.trajectory = new_traj.points
-    cand.channels = state.channel_set.realize(new_traj.points)
+    # a scratch state sharing scenario and counters, with copied arrays
+    cand = dataclasses.replace(
+        state, trajectory=new_traj.points, trace=[],
+        channels=state.channel_set.realize(new_traj.points),
+        **{fname: getattr(state, fname).copy() for fname in SLOT_ARRAYS})
     try:
         _refresh(cand)
     except InfeasibleError:
@@ -477,8 +455,7 @@ def _outer_loop(state, trial, eps, max_outer, phase_mode, path_outers):
             if cand is not None:
                 candidate_exposure = cand.exposure()
                 if candidate_exposure <= current:
-                    for fname in ("channels", "trajectory", "delta", "shares",
-                                  "powers", "gamma", "sar", "beams", "thetas"):
+                    for fname in ("channels", "trajectory") + SLOT_ARRAYS:
                         setattr(state, fname, getattr(cand, fname))
                     state.trace.append({"event": "trajectory", "outer": outer,
                                         "delta": candidate_exposure - current})

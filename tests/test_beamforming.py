@@ -9,8 +9,9 @@ from aris_emf.beamforming import (
     optimize_beamformer,
     pair_gain,
 )
-from aris_emf.channel import Beamformer, gain_from_quadratic
+from aris_emf.channel import Beamformer
 from aris_emf.exposure import InfeasibleError, SarModel, default_sar_model, reference_sar
+from test_channel import gain_from_quadratic
 
 
 def dinkelbach_objective(alpha, beta, lam, k_mat, model, rbar, sigma2, w, delta):
@@ -219,13 +220,6 @@ def test_zero_gram_matrix_is_infeasible():
         optimize_beamformer(np.zeros((2, 2), dtype=complex), default_sar_model(), cons)
 
 
-def test_unallocated_element_short_circuits():
-    cons = BeamConstants(rbar=6e5, sigma2=1e-12, bandwidth=240e3, delta=0.0)
-    bf, state = optimize_beamformer(np.eye(2, dtype=complex), default_sar_model(), cons)
-    assert state.iterations == 0 and state.converged and state.lam == 0.0
-    assert isinstance(bf, Beamformer)
-
-
 def test_non_square_or_non_hermitian_rejected():
     cons = BeamConstants(rbar=6e5, sigma2=1e-12, bandwidth=240e3)
     with pytest.raises(ValueError, match="2x2"):
@@ -245,3 +239,30 @@ def test_state_shape_and_beamformer_convention():
     assert bf.alpha[0] == 1.0 and bf.beta[0] == 0.0
     assert 0.0 <= bf.alpha[1] <= 4.0
     assert 0.0 <= bf.beta[1] < 2 * math.pi
+
+
+def test_stacked_search_matches_single_matrix_calls():
+    rng = np.random.default_rng(16)
+    model = default_sar_model()
+    k = np.stack([random_psd2(rng, scale=10.0 ** rng.uniform(-15, -8))
+                  for _ in range(1200)]).reshape(40, 30, 2, 2)
+    rbar = rng.uniform(2e5, 2e6, size=(40, 30))
+    beams, state = optimize_beamformer(k, model, BeamConstants(rbar, 1e-12, 240e3))
+    assert beams.shape == (40, 30) and state.beamformer is beams
+    assert state.lam.shape == (40, 30)
+    assert state.lam_history.shape == (40, 30, state.iterations + 1)
+    assert type(state.iterations) is int and state.converged is True
+    for idx in np.ndindex(40, 30):
+        bf, one = optimize_beamformer(k[idx], model,
+                                      BeamConstants(float(rbar[idx]), 1e-12, 240e3))
+        same_beam = (bf.alpha[1] == beams.alpha[idx][1]
+                     and bf.beta[1] == beams.beta[idx][1])
+        assert same_beam or abs(one.lam - state.lam[idx]) <= 1e-12 * one.lam
+        assert np.allclose(one.lam_history, state.lam_history[idx], rtol=1e-12, atol=0)
+
+
+def test_stacked_search_with_a_zero_gram_is_infeasible():
+    k = np.stack([np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)])
+    cons = BeamConstants(np.array([6e5, 6e5]), 1e-12, 240e3)
+    with pytest.raises(InfeasibleError):
+        optimize_beamformer(k, default_sar_model(), cons)

@@ -89,3 +89,16 @@ def test_phase_block_runs_without_the_sdp_on_a_fixed_surface_run():
     assert totals["convex_kernels.solve_sdp"][0] == 0
     assert totals["ris_phase.gaussian_randomization"][0] == 0
     assert tracer.counts["ris_phase.fallbacks"] == 0
+
+
+def test_link_primitives_the_benchmark_times_are_called_in_a_desk_run():
+    # the per-layer metrics of these names read 0 without an error if the
+    # AO stops calling them under the name the benchmark wraps
+    tracer = instrument.Tracer()
+    with ExitStack() as stack:
+        tracer.install(stack)
+        run_ao(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1, knobs=MC_KNOBS)
+    totals = tracer.totals()
+    for name in ("channel.ChannelRealization.effective", "channel.channel_gain",
+                 "beamforming.optimize_beamformer"):
+        assert totals[name][0] > 0, name

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aris_emf.channel import (TWO_PI, Beamformer, ChannelSet, _cgauss,
-                              channel_gain, gain_decomposition,
-                              gain_from_quadratic, rng_stream)
+                              beam_array, beam_vector, channel_gain, gram,
+                              rng_stream)
 from aris_emf.scenario import desk_scenario, scenario_from_options
 
 
@@ -74,6 +74,38 @@ def effective_channel(h_mat, theta, g_mat, hd_mat):
     if h_mat.shape[1] != theta.shape[0] or g_mat.shape[0] != theta.shape[0]:
         raise ValueError("dimension mismatch between surface response and channels")
     return h_mat @ (theta[:, None] * g_mat) + np.asarray(hd_mat)
+
+
+def gain_from_quadratic(k_mat, alpha, beta):
+    """Beamforming gain from the channel Gram matrix via the expanded cosine form.
+
+    gamma = sum_i alpha_i k_ii
+          + 2 sum_{i<j} sqrt(alpha_i alpha_j) |k_ij| cos(beta_j - beta_i + arg k_ij)
+    """
+    k_mat = np.asarray(k_mat)
+    m = k_mat.shape[0]
+    total = 0.0
+    for i in range(m):
+        total += alpha[i] * k_mat[i, i].real
+    for i in range(m):
+        for j in range(i + 1, m):
+            kij = k_mat[i, j]
+            total += 2.0 * math.sqrt(alpha[i] * alpha[j]) * abs(kij) \
+                * math.cos(beta[j] - beta[i] + np.angle(kij))
+    return float(total)
+
+
+def gain_decomposition(hbar, gbar, hd_mat, f_vec, theta, rho):
+    """Distance-free split of the gain: gamma = a/(d1^k1 d2^k2) + b/sqrt(d1^k1 d2^k2) + ||Hd f||^2.
+
+    hbar, gbar are the unit-scale Rician mixtures (pathloss removed);
+    hd_mat is the full direct channel. Returns (a, b).
+    """
+    cascade = np.asarray(hbar) @ (np.asarray(theta)[:, None] * np.asarray(gbar)) @ np.asarray(f_vec)
+    direct = np.asarray(hd_mat) @ np.asarray(f_vec)
+    a = rho ** 2 * float(np.vdot(cascade, cascade).real)
+    b = 2.0 * rho * float(np.vdot(direct, cascade).real)
+    return a, b
 
 
 def small_params(**over):
@@ -263,7 +295,7 @@ def test_gain_decomposition_no_direct():
     hbar = rng.normal(size=(mr, n)) + 1j * rng.normal(size=(mr, n))
     gbar = rng.normal(size=(n, mt)) + 1j * rng.normal(size=(n, mt))
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    f = Beamformer((1.0, 0.7), (0.0, 1.1)).vector
+    f = beam_vector(Beamformer((1.0, 0.7), (0.0, 1.1)))
     rho, k1, k2 = 0.01, 2.2, 2.2
     d1, d2 = 35.0, 80.0
     a, b = gain_decomposition(hbar, gbar, np.zeros((mr, mt)), f, theta, rho)
@@ -281,7 +313,7 @@ def test_gain_decomposition_unit_distances():
     gbar = rng.normal(size=(n, mt)) + 1j * rng.normal(size=(n, mt))
     hd = rng.normal(size=(mr, mt)) + 1j * rng.normal(size=(mr, mt))
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    f = Beamformer((1.0, 1.4), (0.0, 0.4)).vector
+    f = beam_vector(Beamformer((1.0, 1.4), (0.0, 0.4)))
     rho = 0.003
     a, b = gain_decomposition(hbar, gbar, hd, f, theta, rho)
     h_full = math.sqrt(rho) * hbar
@@ -297,7 +329,7 @@ def test_gain_decomposition_homogeneity():
     gbar = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
     hd = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-    f = Beamformer((1.0, 1.0), (0.0, 2.0)).vector
+    f = beam_vector(Beamformer((1.0, 1.0), (0.0, 2.0)))
     a1, b1 = gain_decomposition(hbar, gbar, hd, f, theta, 0.1)
     a2, b2 = gain_decomposition(hbar, 2 * gbar, hd, f, theta, 0.1)
     assert a2 == pytest.approx(4 * a1, rel=1e-12)
@@ -351,3 +383,40 @@ def test_channel_set_fingerprint_pairs_trials():
     sc = desk_scenario(seed=4)
     assert ChannelSet(sc, 0).fingerprint() == ChannelSet(sc, 0).fingerprint()
     assert ChannelSet(sc, 0).fingerprint() != ChannelSet(sc, 1).fingerprint()
+
+
+def test_batched_link_primitives_match_per_link_oracles():
+    sc = desk_scenario()
+    p = sc.params
+    assert p.num_ris_elements == 16
+    real = ChannelSet(sc, trial=0).realize(
+        np.linspace(sc.aris_start, sc.aris_end, p.num_slots))
+    rng = np.random.default_rng(15)
+    u, n = (a.ravel() for a in np.meshgrid(np.arange(p.num_users),
+                                           np.arange(p.num_subcarriers),
+                                           indexing="ij"))
+    beams = beam_array(u.shape, rng.uniform(0, 4, u.size),
+                       rng.uniform(0, TWO_PI, u.size))
+    f = beam_vector(beams)
+    for ell in range(p.num_slots):
+        theta = np.exp(1j * rng.uniform(0, TWO_PI, p.num_ris_elements))
+        h_eff = real.effective(ell, n, u, theta)
+        cascade, direct = real.cascade_and_direct(ell, n, u, f)
+        gains = channel_gain(h_eff, beams)
+        assert np.allclose(gram(h_eff), np.swapaxes(h_eff.conj(), 1, 2) @ h_eff)
+        for k in range(u.size):
+            h_full = real.h_scale[ell] * real.hbar[ell, n[k]]
+            g_full = real.g_scale[ell, u[k]] * real.gbar[ell, n[k], u[k]]
+            hd = real.hd[ell, n[k], u[k]]
+            want = effective_channel(h_full, theta, g_full, hd)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(h_eff[k] - want)) <= 1e-12 * scale
+            want_casc = h_full * (g_full @ f[k])[None, :]
+            assert np.max(np.abs(cascade[k] - want_casc)) <= 1e-12 * np.max(np.abs(want_casc))
+            assert np.max(np.abs(direct[k] - hd @ f[k])) <= 1e-12 * np.max(np.abs(hd @ f[k]))
+            gain = np.linalg.norm(want @ f[k]) ** 2
+            assert gains[k] == pytest.approx(gain, rel=1e-12)
+            assert np.linalg.norm(cascade[k] @ theta + direct[k]) ** 2 == pytest.approx(
+                gain, rel=1e-12)
+            one = Beamformer(beams.alpha[k], beams.beta[k])
+            assert channel_gain(want, one) == pytest.approx(gain, rel=1e-12)

@@ -341,3 +341,31 @@ def test_bisect_tolerance_relative_to_bracket_not_initial_hi():
     assert got - root <= 1e-15 * got
     # an exact zero at a probe is returned as is
     assert bisect(lambda x: x - 0.5, 0.0, 1.0) == 0.5
+
+
+def test_barrier_stops_centering_once_a_step_no_longer_lowers_the_barrier():
+    # instance 7 of criterion 3's generator on default_rng(0): the barrier
+    # value (about 5e12) stops resolving the decrease, and every Newton step
+    # is the same 1.7e-12 W; centering must end there, not spin to its budget
+    w, sigma2 = 240e3, 1.2e-15 * 240e3
+    gamma = np.array([4.041942383699075e-09])
+    sar = np.array([0.9462974960809709])
+    target = 2691210.5770267597
+    cap = 338.23019386817055
+    snr = gamma / sigma2
+    zero = np.zeros((1, 1))
+
+    def rate_floor(x):
+        r = w * np.log2(1 + x * snr)
+        grad = -w * snr / (math.log(2.0) * (1 + x * snr))
+        hess = np.diag(w * snr ** 2 / (math.log(2.0) * (1 + x * snr) ** 2))
+        return target - float(r.sum()), grad, hess
+
+    prog = ConvexProgram(
+        dim=1, objective=lambda x: (float(sar @ x), sar.copy(), zero),
+        constraints=[rate_floor,
+                     lambda x: (float(x.sum()) - cap, np.ones(1), zero),
+                     lambda x: (-x[0], -np.ones(1), zero)])
+    x = solve_convex_program(prog, np.array([189.07067837230733]), tol=1e-10)
+    want = (2.0 ** (target / w) - 1.0) / snr[0]
+    assert x[0] == pytest.approx(want, rel=1e-9)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from aris_emf.exposure import InfeasibleError, exposure_index, min_power_for_rate
+from aris_emf.harness import MC_EPS, MC_KNOBS
 from aris_emf.orchestrator import (
     AoKnobs,
+    _trajectory_field,
     baseline_fixed_ris,
     baseline_no_ris,
     baseline_unoptimized_phases,
@@ -15,7 +17,7 @@ from aris_emf.orchestrator import (
 )
 from aris_emf.channel import ChannelSet
 from aris_emf.scenario import Scenario, SystemParams, desk_scenario
-from aris_emf.trajectory import straight_trajectory
+from aris_emf.trajectory import link_distances, straight_trajectory
 
 FAST = AoKnobs(traj_outers=1)
 
@@ -160,6 +162,26 @@ def test_counters_track_inner_solver_work():
     assert state.counters["dinkelbach_calls"] > 0
     assert state.counters["phase_calls"] > 0
     assert state.counters["sca_iters"] > 0
+
+
+@pytest.mark.parametrize("trial", [0, 1, 2])
+def test_path_field_matches_the_cached_gains(trial):
+    # the path block's a, b and direct floor rebuild each active link's gain
+    # at the current path; they must agree with the gains the other blocks cache
+    sc = desk_scenario()
+    state, _ = run_ao(sc, trial=trial, eps=MC_EPS, max_outer=1, knobs=MC_KNOBS)
+    d_ur, d_rb = link_distances(state.trajectory, sc.user_positions, sc.bs_position)
+    gains = _trajectory_field(state).gains(d_ur, d_rb)
+    active = state.delta > 0
+    assert np.allclose(gains[active], state.gamma[active], rtol=1e-12, atol=0)
+
+
+def test_beams_are_a_float_record_array():
+    state = make_state(desk_scenario())
+    assert state.beams.shape == state.delta.shape
+    assert state.beams.alpha.dtype == float and state.beams.alpha.shape[-1] == 2
+    assert np.all(state.beams.alpha[..., 0] == 1.0)
+    assert np.all(state.beams.beta[..., 0] == 0.0)
 
 
 def test_same_trial_reruns_identically():
