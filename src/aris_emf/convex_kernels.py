@@ -160,19 +160,22 @@ def solve_sdp(problem, tol=1e-7, max_iter=100):
 # barrier method for small smooth convex programs
 # ---------------------------------------------------------------------------
 
+MAX_NEWTON = 200  # Newton steps per centering before the solve gives up
+
+
 @dataclass
 class ConvexProgram:
     """minimize f0(x) s.t. f_i(x) <= 0.
 
-    Evaluators return (value, gradient, hessian).
-
-    For hot loops with many structured constraints, `constraint_pack`
-    replaces the per-constraint closure list with one batched callable:
+    The objective and each entry of `constraints` return (value, gradient,
+    hessian).  `constraint_pack` gives the constraints as one batched
+    callable instead:
         pack(x, True)  -> (f (m,), G (m, dim), hess_mix or None)
         pack(x, False) -> f (m,)
-    where G stacks the constraint gradients row-wise and
-    hess_mix(coeffs) returns sum_i coeffs[i] * hess f_i as (dim, dim)
-    (None when every constraint beyond G is curvature-free).
+    where G stacks the constraint gradients row-wise and hess_mix(coeffs)
+    returns sum_i coeffs[i] * hess f_i as (dim, dim) (None when every
+    constraint is affine).  Give one form or the other; the solver turns a
+    closure list into a pack.
     """
 
     dim: int
@@ -186,18 +189,35 @@ def _eval(fn, x):
     return value, np.asarray(grad, dtype=float), np.asarray(hess, dtype=float)
 
 
+def _closure_pack(cons, dim):
+    """The constraint-pack form of a closure list."""
+    def pack(x, want_derivs):
+        triples = [_eval(c, x) for c in cons]
+        f = np.array([tr[0] for tr in triples], dtype=float)
+        if not want_derivs:
+            return f
+        g = np.array([tr[1] for tr in triples]).reshape(len(cons), dim)
+        hs = np.array([tr[2] for tr in triples]).reshape(len(cons), dim, dim)
+        return f, g, lambda coeffs: np.einsum("m,mij->ij", coeffs, hs)
+    return pack
+
+
 def _strictly_feasible(fv):
     """Every constraint value finite and negative (NaN and inf count as
     infeasible, which a comparison with 0 alone would not catch)."""
     return bool(np.all(np.isfinite(fv) & (fv < 0)))
 
 
-def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=False,
+def solve_convex_program(program, x0, tol=1e-8, return_duals=False,
                          t0=1.0, t_growth=2.0):
     """Log-barrier method: barrier weight shrunk (t grown by t_growth) each
     round, damped Newton centering with 0.3/0.8 backtracking.
 
-    With return_duals=True the result is (x, lam): the inequality
+    The Newton system gets no ridge: Newton's method is invariant under a
+    linear change of variables, and a ridge scaled to the largest Hessian
+    entry swamps the soft directions of a badly scaled program (the path
+    subproblem's diagonal spans about 12 orders of magnitude).  With
+    return_duals=True the result is (x, lam): the inequality
     multipliers lam_i = 1/(t * (-f_i)) at the last barrier weight.  t0 > 1
     starts the barrier schedule further along, useful when x0 is a warm start
     near the optimum; t_growth > 2 trades extra Newton steps per round for
@@ -206,15 +226,14 @@ def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=Fal
     if t_growth <= 1.0:
         raise ValueError("t_growth must exceed 1")
     x = np.asarray(x0, dtype=float).copy()
-    cons = program.constraints
     pack = program.constraint_pack
-    if pack is not None and cons:
+    if pack is not None and program.constraints:
         raise ConvexSolverError("give either constraints or constraint_pack, not both")
+    if pack is None:
+        pack = _closure_pack(program.constraints, program.dim)
 
     def ineq_values(xx):
-        if pack is not None:
-            return np.asarray(pack(xx, False), dtype=float)
-        return np.array([_eval(c, xx)[0] for c in cons], dtype=float)
+        return np.asarray(pack(xx, False), dtype=float)
 
     fvals = ineq_values(x)
     m = fvals.size
@@ -231,30 +250,19 @@ def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=Fal
         return t * v0 - float(np.sum(np.log(-fv))) if fv.size else t * v0
 
     t = max(float(t0), 1.0)
-    newton_used = 0
     while True:
         final_round = m == 0 or m / t <= tol
         # center at the current t
-        for _ in range(max_newton):
+        for _ in range(MAX_NEWTON):
             f0, g0, h0 = _eval(program.objective, x)
-            if pack is not None:
-                fvec, gmat, hess_mix = pack(x, True)
-                fvec = np.asarray(fvec, dtype=float)
-                gmat = np.asarray(gmat, dtype=float)
-                grad = t * g0 - gmat.T @ (1.0 / fvec)
-                hess = t * h0 + (gmat.T * fvec ** -2) @ gmat
-                if hess_mix is not None:
-                    hess = hess + hess_mix(-1.0 / fvec)
-            else:
-                grad = t * g0
-                hess = t * h0
-                for c in cons:
-                    fv, gv, hv = _eval(c, x)
-                    grad = grad - gv / fv
-                    hess = hess + np.outer(gv, gv) / fv ** 2 - hv / fv
+            fvec, gmat, hess_mix = pack(x, True)
+            fvec = np.asarray(fvec, dtype=float)
+            gmat = np.asarray(gmat, dtype=float)
+            grad = t * g0 - gmat.T @ (1.0 / fvec)
+            hess = t * h0 + (gmat.T * fvec ** -2) @ gmat
+            if hess_mix is not None:
+                hess = hess + hess_mix(-1.0 / fvec)
             hess = 0.5 * (hess + hess.T)
-            ridge = 1e-12 * max(1.0, float(np.max(np.abs(np.diag(hess)))))
-            hess = hess + ridge * np.eye(program.dim)
 
             # grad/t is the KKT stationarity residual under the barrier duals;
             # in the last round center until it clears the requested tolerance
@@ -291,13 +299,12 @@ def solve_convex_program(program, x0, tol=1e-8, max_newton=200, return_duals=Fal
                         break
                     raise ConvexSolverError("line-search failure while centering")
             x = x + alpha * dx
-            newton_used += 1
             if phi >= phi0:  # centered as far as the barrier value resolves
                 break
         else:
             raise ConvexSolverError("centering did not converge")
 
-        if m == 0 or m / t <= tol:
+        if final_round:
             break
         t *= t_growth
     if return_duals:

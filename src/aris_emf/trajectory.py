@@ -102,15 +102,19 @@ class GainField:
             * np.asarray(d_rb)[:, None, None] ** self.kappa2
         return self.a_un / s2 + self.b_un / np.sqrt(s2) + self.resid
 
+    def weights(self, d_ur, d_rb):
+        """Ratio weights x = c / gamma on allocated links, 0 elsewhere."""
+        x = np.zeros(np.shape(self.delta))
+        mask = np.asarray(self.delta) > 0
+        if np.any(mask):
+            x[mask] = quad_transform_y(np.asarray(self.c_un)[mask],
+                                       self.gains(d_ur, d_rb)[mask])
+        return x
+
     def proxy(self, d_ur, d_rb):
         """sum over allocated links of c^2 / gamma at the given distances."""
-        gains = self.gains(d_ur, d_rb)
         mask = np.asarray(self.delta) > 0
-        if not np.any(mask):
-            return 0.0
-        c = np.asarray(self.c_un)[mask]
-        x = quad_transform_y(c, gains[mask])
-        return float(np.sum(c * x))
+        return float(np.sum(np.asarray(self.c_un)[mask] * self.weights(d_ur, d_rb)[mask]))
 
 
 def linearize_gain_terms(a_un, b_un, u0, v0, kappa1, kappa2):
@@ -141,19 +145,13 @@ class ScaState:
     v_slack: np.ndarray    # (N_T,)
     x_aux: np.ndarray      # (N_T, U, N_c)
     objective: float       # frozen-fading proxy at points
-    surrogate: float = float("nan")   # subproblem objective at the last solve
 
 
 def make_sca_state(points, gain_field, user_positions, bs_position):
     pts = np.asarray(points, dtype=float)
     d_ur, d_rb = link_distances(pts, user_positions, bs_position)
-    x = np.zeros_like(gain_field.c_un, dtype=float)
-    mask = np.asarray(gain_field.delta) > 0
-    if np.any(mask):
-        gains = gain_field.gains(d_ur, d_rb)
-        x[mask] = quad_transform_y(gain_field.c_un[mask], gains[mask])
-    return ScaState(pts, d_ur * (1.0 + SLACK_LIFT), d_rb * (1.0 + SLACK_LIFT), x,
-                    gain_field.proxy(d_ur, d_rb))
+    return ScaState(pts, d_ur * (1.0 + SLACK_LIFT), d_rb * (1.0 + SLACK_LIFT),
+                    gain_field.weights(d_ur, d_rb), gain_field.proxy(d_ur, d_rb))
 
 
 def _collapse_weights(state, gain_field):
@@ -166,8 +164,19 @@ def _collapse_weights(state, gain_field):
 
 
 def sca_step(state, gain_field, user_positions, bs_position, max_step,
-             barrier_tol=1e-8, t0=1.0):
+             barrier_tol=1e-8):
     """One tangent-linearized subproblem solve.
+
+    The F = N_T - 2 interior waypoints move; the program's variables are
+    [q (F, 2) | v of each slot with a pulled user | u of each pulled pair],
+    where a (slot, user) pair is pulled when its collapsed reflected energy
+    or positive cross term is nonzero.  A pure b < 0 pull has no linear term
+    to bound its slack from above, so such pairs keep their gain frozen
+    instead of entering the program.  The objective is minus the weighted
+    gain sum, its convex terms replaced by their tangent planes at the
+    current slacks and its b < 0 cross terms kept exact; the constraints are
+    the slack surrogates (one per slack, in variable order) and the
+    step-length disks of the N_T - 1 slot moves.
 
     Returns a new ScaState; on solver failure the input state is returned
     unchanged (with a warning).  With no interior slots the waypoints are
@@ -176,56 +185,37 @@ def sca_step(state, gain_field, user_positions, bs_position, max_step,
     pts = np.asarray(state.points, dtype=float)
     n_slots = pts.shape[0]
     users = np.asarray(user_positions, dtype=float)
-    n_users = users.shape[0]
     bs = np.asarray(bs_position, dtype=float)
     if n_slots == 2:
         d_ur, d_rb = link_distances(pts, users, bs)
         return replace(state, u_slack=d_ur, v_slack=d_rb,
                        objective=gain_field.proxy(d_ur, d_rb))
 
-    free = list(range(1, n_slots - 1))
+    n_free = n_slots - 2
+    nq = 2 * n_free
     a_eff, b_pos, b_neg = _collapse_weights(state, gain_field)
     k1, k2 = gain_field.kappa1, gain_field.kappa2
     h1, h2 = 0.5 * k1, 0.5 * k2
 
-    # variable layout: per free slot (qx, qy), then included slacks
-    qx_of = {}
-    u_of = {}
-    v_of = {}
-    dim = 0
-    for l in free:
-        qx_of[l] = dim
-        dim += 2
-    for l in free:
-        # a pure b<0 pull has no linear term to bound its slack from above;
-        # such pairs keep their gain frozen instead of entering the program
-        pulled = a_eff[l] + b_pos[l] > 0.0
-        if np.any(pulled):
-            v_of[l] = dim
-            dim += 1
-            for u in np.flatnonzero(pulled):
-                u_of[(l, int(u))] = dim
-                dim += 1
+    # pulled pairs (interior slot index, user) and the slots that own a v
+    pl, pu = np.nonzero((a_eff + b_pos)[1:-1] > 0.0)
+    vslots = np.unique(pl)
+    nv, n_pairs = vslots.size, pl.size
+    dim = nq + nv + n_pairs
+    vpos = np.searchsorted(vslots, pl)              # each pair's slot among vslots
+    iv = nq + vpos                                  # each pair's v variable
+    iu = nq + nv + np.arange(n_pairs)               # each pair's u variable
 
+    u0 = state.u_slack[pl + 1, pu]
+    v0 = state.v_slack[pl + 1]
+    (fa, dau, dav), (fb, dbu, dbv) = linearize_gain_terms(
+        a_eff[pl + 1, pu], b_pos[pl + 1, pu], u0, v0, k1, k2)
     lin = np.zeros(dim)
-    const = 0.0
-    exact_iu, exact_iv, exact_coef = [], [], []  # kept-exact convex cross terms
-    for (l, u), iu in u_of.items():
-        iv = v_of[l]
-        u0 = float(state.u_slack[l, u])
-        v0 = float(state.v_slack[l])
-        (fa, dau, dav), (fb, dbu, dbv) = linearize_gain_terms(
-            a_eff[l, u], b_pos[l, u], u0, v0, k1, k2)
-        lin[iu] -= dau + dbu
-        lin[iv] -= dav + dbv
-        const += -(fa + fb) + (dau + dbu) * u0 + (dav + dbv) * v0
-        if b_neg[l, u] > 0.0:
-            exact_iu.append(iu)
-            exact_iv.append(iv)
-            exact_coef.append(float(b_neg[l, u]))
-    eu = np.asarray(exact_iu, dtype=int)
-    ev = np.asarray(exact_iv, dtype=int)
-    ec = np.asarray(exact_coef)
+    lin[iu] = -(dau + dbu)
+    lin[nq:nq + nv] = -np.bincount(vpos, dav + dbv, minlength=nv)
+    const = float(np.sum(-(fa + fb) + (dau + dbu) * u0 + (dav + dbv) * v0))
+    exact = b_neg[pl + 1, pu] > 0.0                 # kept-exact convex cross terms
+    eu, ev, ec = iu[exact], iv[exact], b_neg[pl + 1, pu][exact]
 
     def raw_objective(x):
         val = const + float(lin @ x)
@@ -248,83 +238,46 @@ def sca_step(state, gain_field, user_positions, bs_position, max_step,
             np.add.at(hess, (ev, eu), cross)
         return val, grad, hess
 
-    # constraint system: slack surrogates then step-length disks, as arrays
-    sq, si, stx, sty, sz2, ss0 = [], [], [], [], [], []
-    for (l, u), iu in u_of.items():
-        sq.append(qx_of[l])
-        si.append(iu)
-        stx.append(users[u, 0])
-        sty.append(users[u, 1])
-        sz2.append((pts[l, 2] - users[u, 2]) ** 2)
-        ss0.append(float(state.u_slack[l, u]))
-    for l, iv in v_of.items():
-        sq.append(qx_of[l])
-        si.append(iv)
-        stx.append(bs[0])
-        sty.append(bs[1])
-        sz2.append((pts[l, 2] - bs[2]) ** 2)
-        ss0.append(float(state.v_slack[l]))
-    sq = np.asarray(sq, dtype=int)
-    si = np.asarray(si, dtype=int)
-    stx, sty = np.asarray(stx), np.asarray(sty)
-    sz2, ss0 = np.asarray(sz2), np.asarray(ss0)
-    ks = sq.size
-
-    ia = np.array([qx_of.get(l, -1) for l in range(n_slots - 1)], dtype=int)
-    ib = np.array([qx_of.get(l + 1, -1) for l in range(n_slots - 1)], dtype=int)
-    pa = pts[:-1, :2].copy()
-    pb = pts[1:, :2].copy()
-    free_a, free_b = ia >= 0, ib >= 0
-    n_steps = ia.size
-    m = ks + n_steps
+    # slack surrogates |q - target|^2 + dz^2 + s0^2 - 2 s0 s <= 0, one row per
+    # slack variable and in the same order: the v rows, then the u rows
+    sl = np.concatenate([vslots, pl])               # interior slot of each row
+    target = np.vstack([np.broadcast_to(bs[:2], (nv, 2)), users[pu, :2]])
+    dz2 = (pts[sl + 1, 2] - np.concatenate([np.full(nv, bs[2]), users[pu, 2]])) ** 2
+    s0 = np.concatenate([state.v_slack[vslots + 1], u0])
+    ks = s0.size
+    # step disks |D q + pinned ends|^2 <= max_step^2 over the N_T - 1 moves
+    diff_mat = np.eye(n_slots - 1, n_free) - np.eye(n_slots - 1, n_free, k=-1)
+    m = ks + n_slots - 1
     limit2 = float(max_step) ** 2
+    g_slack = np.vstack([np.diag(-2.0 * s0), np.zeros((n_slots - 1, ks))])
 
-    hess_bank = np.zeros((m, dim, dim))
-    rows_s = np.arange(ks)
-    hess_bank[rows_s, sq, sq] = 2.0
-    hess_bank[rows_s, sq + 1, sq + 1] = 2.0
-    for i in range(n_steps):
-        r = ks + i
-        for idx, here in ((ia[i], free_a[i]), (ib[i], free_b[i])):
-            if here:
-                hess_bank[r, idx, idx] = hess_bank[r, idx + 1, idx + 1] = 2.0
-        if free_a[i] and free_b[i]:
-            for off in (0, 1):
-                hess_bank[r, ia[i] + off, ib[i] + off] = -2.0
-                hess_bank[r, ib[i] + off, ia[i] + off] = -2.0
+    path = pts[:, :2].copy()                        # pack writes the interior rows
 
-    step_rows = ks + np.arange(n_steps)
+    def hess_mix(coeffs):
+        # kron(2 (diag(S^T c_slack) + D^T diag(c_step) D), I_2) on the q block
+        qq = 2.0 * (np.diag(np.bincount(sl, coeffs[:ks], minlength=n_free))
+                    + diff_mat.T @ (coeffs[ks:, None] * diff_mat))
+        hess = np.zeros((dim, dim))
+        hess[0:nq:2, 0:nq:2] = qq
+        hess[1:nq:2, 1:nq:2] = qq
+        return hess
 
     def pack(x, want_derivs):
-        f = np.empty(m)
-        dxs = x[sq] - stx
-        dys = x[sq + 1] - sty
-        f[:ks] = dxs * dxs + dys * dys + sz2 + ss0 * ss0 - 2.0 * ss0 * x[si]
-        ax = np.where(free_a, x[np.maximum(ia, 0)], pa[:, 0])
-        ay = np.where(free_a, x[np.maximum(ia, 0) + 1], pa[:, 1])
-        bx = np.where(free_b, x[np.maximum(ib, 0)], pb[:, 0])
-        by = np.where(free_b, x[np.maximum(ib, 0) + 1], pb[:, 1])
-        dxt, dyt = bx - ax, by - ay
-        f[ks:] = dxt * dxt + dyt * dyt - limit2
+        q = x[:nq].reshape(n_free, 2)
+        dq = q[sl] - target
+        path[1:-1] = q
+        moves = path[1:] - path[:-1]
+        f = np.concatenate([
+            dq[:, 0] * dq[:, 0] + dq[:, 1] * dq[:, 1] + dz2 + s0 * s0 - 2.0 * s0 * x[nq:],
+            moves[:, 0] * moves[:, 0] + moves[:, 1] * moves[:, 1] - limit2])
         if not want_derivs:
             return f
-        g = np.zeros((m, dim))
-        g[rows_s, sq] = 2.0 * dxs
-        g[rows_s, sq + 1] = 2.0 * dys
-        g[rows_s, si] = -2.0 * ss0
-        g[step_rows[free_a], ia[free_a]] = -2.0 * dxt[free_a]
-        g[step_rows[free_a], ia[free_a] + 1] = -2.0 * dyt[free_a]
-        g[step_rows[free_b], ib[free_b]] = 2.0 * dxt[free_b]
-        g[step_rows[free_b], ib[free_b] + 1] = 2.0 * dyt[free_b]
-        return f, g, lambda coeffs: np.einsum("m,mij->ij", coeffs, hess_bank)
+        g_q = np.zeros((m, n_free, 2))
+        g_q[np.arange(ks), sl] = 2.0 * dq
+        g_q[ks:] = 2.0 * diff_mat[:, :, None] * moves[:, None, :]
+        return f, np.hstack([g_q.reshape(m, nq), g_slack]), hess_mix
 
-    x0 = np.zeros(dim)
-    for l in free:
-        x0[qx_of[l]: qx_of[l] + 2] = pts[l, :2]
-    for (l, u), iu in u_of.items():
-        x0[iu] = state.u_slack[l, u]
-    for l, iv in v_of.items():
-        x0[iv] = state.v_slack[l]
+    x0 = np.concatenate([pts[1:-1, :2].ravel(), s0])
 
     # rescale so the barrier works on an O(1)-gradient objective regardless
     # of the physical magnitudes of the collapsed weights
@@ -336,25 +289,20 @@ def sca_step(state, gain_field, user_positions, bs_position, max_step,
 
     prog = ConvexProgram(dim=dim, objective=objective, constraint_pack=pack)
     try:
-        sol = solve_convex_program(prog, x0, tol=barrier_tol, t0=t0,
-                                   t_growth=4.0, max_newton=600)
+        sol = solve_convex_program(prog, x0, tol=barrier_tol, t_growth=4.0)
     except ConvexSolverError as exc:
         warnings.warn(f"path subproblem failed, keeping current waypoints: {exc}",
                       RuntimeWarning, stacklevel=2)
         return state
 
     new_pts = pts.copy()
-    for l in free:
-        new_pts[l, :2] = sol[qx_of[l]: qx_of[l] + 2]
+    new_pts[1:-1, :2] = sol[:nq].reshape(n_free, 2)
     d_ur, d_rb = link_distances(new_pts, users, bs)
     u_slack = d_ur * (1.0 + SLACK_LIFT)
     v_slack = d_rb * (1.0 + SLACK_LIFT)
-    for (l, u), iu in u_of.items():
-        u_slack[l, u] = sol[iu]
-    for l, iv in v_of.items():
-        v_slack[l] = sol[iv]
-    return ScaState(new_pts, u_slack, v_slack, state.x_aux,
-                    gain_field.proxy(d_ur, d_rb), surrogate=raw_objective(sol)[0])
+    v_slack[vslots + 1] = sol[nq:nq + nv]
+    u_slack[pl + 1, pu] = sol[iu]
+    return ScaState(new_pts, u_slack, v_slack, state.x_aux, gain_field.proxy(d_ur, d_rb))
 
 
 def optimize_trajectory(points, gain_field, user_positions, bs_position, max_step,
@@ -372,12 +320,8 @@ def optimize_trajectory(points, gain_field, user_positions, bs_position, max_ste
         history.append(state.objective)
     x_prev = None
     for _ in range(max_x_rounds):
-        d_ur, d_rb = link_distances(state.points, user_positions, bs_position)
-        gains = gain_field.gains(d_ur, d_rb)
-        x_aux = np.zeros_like(state.x_aux)
-        mask = np.asarray(gain_field.delta) > 0
-        if np.any(mask):
-            x_aux[mask] = quad_transform_y(gain_field.c_un[mask], gains[mask])
+        x_aux = gain_field.weights(*link_distances(state.points, user_positions,
+                                                   bs_position))
         if x_prev is not None:
             drift = float(np.linalg.norm(x_aux - x_prev))
             if drift <= eps5 * max(1e-300, float(np.linalg.norm(x_prev))):

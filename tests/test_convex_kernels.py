@@ -369,3 +369,19 @@ def test_barrier_stops_centering_once_a_step_no_longer_lowers_the_barrier():
     x = solve_convex_program(prog, np.array([189.07067837230733]), tol=1e-10)
     want = (2.0 ** (target / w) - 1.0) / snr[0]
     assert x[0] == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("slope", [1e7, 1e8])
+def test_barrier_converges_on_a_badly_scaled_program(slope):
+    # minimize slope*x1 + x2 subject to x1 >= 0 and 0 <= x2 <= 1: the
+    # Hessian's diagonal spans many orders of magnitude near the optimum, and
+    # a ridge scaled to its largest entry would stall the soft direction
+    zero = np.zeros((2, 2))
+    c = np.array([slope, 1.0])
+    prog = ConvexProgram(
+        dim=2, objective=lambda x: (float(c @ x), c, zero),
+        constraints=[lambda x: (-x[0], np.array([-1.0, 0.0]), zero),
+                     lambda x: (-x[1], np.array([0.0, -1.0]), zero),
+                     lambda x: (x[1] - 1.0, np.array([0.0, 1.0]), zero)])
+    x = solve_convex_program(prog, np.array([1e-3, 0.5]), tol=1e-9)
+    assert np.all(np.abs(x) <= 1e-9)

@@ -1,6 +1,8 @@
 """Alternating-optimization loop: initialization, safeguarded descent,
 feasibility audits, and the benchmark schemes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,18 @@ def test_path_field_matches_the_cached_gains(trial):
     gains = _trajectory_field(state).gains(d_ur, d_rb)
     active = state.delta > 0
     assert np.allclose(gains[active], state.gamma[active], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("trial", [5, 8, 13, 16])
+def test_path_subproblem_converges_on_desk_trials(trial):
+    # these trials once ran the path block's barrier out of Newton steps, and
+    # the SCA step fell back to the incumbent waypoints with a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_ao(desk_scenario(), trial=trial, eps=MC_EPS, knobs=MC_KNOBS)
+    failed = [str(w.message) for w in caught
+              if "path subproblem failed" in str(w.message)]
+    assert failed == []
 
 
 def test_beams_are_a_float_record_array():

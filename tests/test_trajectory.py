@@ -1,14 +1,17 @@
 """Flight-path refinement: tangent under-estimators, slack implication,
 grid-search cross-checks, and the safeguarded descent loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from aris_emf.convex_kernels import ConvexSolverError
+from aris_emf.convex_kernels import ConvexProgram, ConvexSolverError, solve_convex_program
 from aris_emf.exposure import InfeasibleError
 from aris_emf.trajectory import (
     GainField,
     Trajectory,
+    _collapse_weights,
     link_distances,
     linearize_gain_terms,
     make_sca_state,
@@ -276,3 +279,119 @@ def test_mixed_sign_cross_terms_still_descend():
     for earlier, later in zip(history, history[1:]):
         assert later <= earlier * (1.0 + 1e-12)
     out.check(150.0, pts[0], pts[-1])
+
+
+def reference_step_points(state, field, users, max_step, barrier_tol):
+    """Waypoints of sca_step's subproblem, built one term and one constraint
+    at a time: per pulled pair a tangent plane, a kept-exact b < 0 term and a
+    u-slack disk, per slot a v-slack disk, per move a step disk."""
+    pts = state.points
+    n_slots = pts.shape[0]
+    free = list(range(1, n_slots - 1))
+    a_eff, b_pos, b_neg = _collapse_weights(state, field)
+    k1, k2 = field.kappa1, field.kappa2
+    h1, h2 = 0.5 * k1, 0.5 * k2
+    q_of = {l: 2 * i for i, l in enumerate(free)}
+    dim = 2 * len(free)
+    v_of, u_of = {}, {}
+    for l in free:
+        for u in range(users.shape[0]):
+            if a_eff[l, u] + b_pos[l, u] > 0.0:
+                if l not in v_of:
+                    v_of[l] = dim
+                    dim += 1
+                u_of[(l, u)] = dim
+                dim += 1
+
+    def raw_objective(x):
+        val, grad, hess = 0.0, np.zeros(dim), np.zeros((dim, dim))
+        for (l, u), iu in u_of.items():
+            iv = v_of[l]
+            u0, v0 = state.u_slack[l, u], state.v_slack[l]
+            (fa, dau, dav), (fb, dbu, dbv) = linearize_gain_terms(
+                a_eff[l, u], b_pos[l, u], u0, v0, k1, k2)
+            # the weighted gain sum is maximized: its convex terms enter as
+            # minus their tangent planes, its b < 0 terms exactly
+            val -= fa + fb + (dau + dbu) * (x[iu] - u0) + (dav + dbv) * (x[iv] - v0)
+            grad[iu] -= dau + dbu
+            grad[iv] -= dav + dbv
+            if b_neg[l, u] > 0.0:
+                if x[iu] <= 0.0 or x[iv] <= 0.0:
+                    return np.inf, grad, hess
+                f = b_neg[l, u] * x[iu] ** -h1 * x[iv] ** -h2
+                val += f
+                grad[iu] -= h1 * f / x[iu]
+                grad[iv] -= h2 * f / x[iv]
+                hess[iu, iu] += h1 * (h1 + 1.0) * f / x[iu] ** 2
+                hess[iv, iv] += h2 * (h2 + 1.0) * f / x[iv] ** 2
+                hess[iu, iv] += h1 * h2 * f / (x[iu] * x[iv])
+                hess[iv, iu] += h1 * h2 * f / (x[iu] * x[iv])
+        return val, grad, hess
+
+    def slack_disk(l, target, islack, s0):
+        def con(x):
+            iq = q_of[l]
+            d = np.array([x[iq] - target[0], x[iq + 1] - target[1]])
+            g = np.zeros(dim)
+            g[iq:iq + 2] = 2.0 * d
+            g[islack] = -2.0 * s0
+            h = np.zeros((dim, dim))
+            h[iq, iq] = h[iq + 1, iq + 1] = 2.0
+            return d @ d + (pts[l, 2] - target[2]) ** 2 + s0 * s0 - 2.0 * s0 * x[islack], g, h
+        return con
+
+    def step_disk(l):
+        def con(x):
+            a = x[q_of[l]:q_of[l] + 2] if l in q_of else pts[l, :2]
+            b = x[q_of[l + 1]:q_of[l + 1] + 2] if l + 1 in q_of else pts[l + 1, :2]
+            g = np.zeros(dim)
+            h = np.zeros((dim, dim))
+            for idx, sign in ((q_of.get(l), -1.0), (q_of.get(l + 1), 1.0)):
+                if idx is not None:
+                    g[idx:idx + 2] = sign * 2.0 * (b - a)
+                    h[idx, idx] = h[idx + 1, idx + 1] = 2.0
+            if l in q_of and l + 1 in q_of:
+                for off in (0, 1):
+                    h[q_of[l] + off, q_of[l + 1] + off] = -2.0
+                    h[q_of[l + 1] + off, q_of[l] + off] = -2.0
+            return (b - a) @ (b - a) - max_step ** 2, g, h
+        return con
+
+    cons = [slack_disk(l, users[u], iu, state.u_slack[l, u]) for (l, u), iu in u_of.items()]
+    cons += [slack_disk(l, BS, iv, state.v_slack[l]) for l, iv in v_of.items()]
+    cons += [step_disk(l) for l in range(n_slots - 1)]
+    x0 = np.zeros(dim)
+    for l in free:
+        x0[q_of[l]:q_of[l] + 2] = pts[l, :2]
+    for (l, u), iu in u_of.items():
+        x0[iu] = state.u_slack[l, u]
+    for l, iv in v_of.items():
+        x0[iv] = state.v_slack[l]
+    scale = max(float(np.max(np.abs(raw_objective(x0)[1]))), 1e-300)
+
+    def objective(x):
+        val, grad, hess = raw_objective(x)
+        return val / scale, grad / scale, hess / scale
+
+    sol = solve_convex_program(ConvexProgram(dim=dim, objective=objective, constraints=cons),
+                               x0, tol=barrier_tol, t_growth=4.0)
+    out = pts.copy()
+    for l in free:
+        out[l, :2] = sol[q_of[l]:q_of[l] + 2]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_step_matches_the_per_term_reference(seed):
+    # mixed-sign cross terms give tangent planes and kept-exact b < 0 terms;
+    # slot 3 pulls no user, so it has no v slack, and slot 2 skips user 0
+    field, users = desk_fixture(40 + seed)
+    delta = field.delta.copy()
+    delta[3] = 0.0
+    delta[2, 0] = 0.0
+    field = replace(field, delta=delta)
+    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6).points
+    state = make_sca_state(pts, field, users, BS)
+    stepped = sca_step(state, field, users, BS, 150.0, barrier_tol=1e-10)
+    want = reference_step_points(state, field, users, 150.0, barrier_tol=1e-10)
+    assert np.max(np.abs(stepped.points - want)) <= 1e-6
