@@ -35,12 +35,6 @@ def rng_stream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key)))
 
 
-def _cgauss(rng, shape):
-    """i.i.d. standard complex Gaussian entries, E|x|^2 = 1."""
-    z = rng.standard_normal(size=shape + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
-
-
 @dataclass(frozen=True)
 class Beamformer:
     """Two-antenna transmit beam: power shares alpha (alpha_1 = 1) and phases beta (beta_1 = 0)."""
@@ -141,9 +135,25 @@ class ChannelRealization:
         return np.sqrt(self.rho * self.d_rb ** (-self.kappa2))
 
     def effective(self, ell, n, u, theta):
-        """(..., M_r, M_t) channels H Theta G + Hd of slot ell's links (n, u)."""
+        """(..., M_r, M_t) channels H Theta G + Hd of the links (ell, n, u).
+
+        ell is one slot and theta its (N,) phases, or a sorted array of each
+        link's slot and theta one row per link, as the AO's refresh and its
+        sweep-start beam search pass them.  That form mixes one slot at a
+        time, so it gives the bits of per-slot calls and gathers one slot's
+        hbar rows at most."""
         scale = self.h_scale[ell] * self.g_scale[ell, u]
-        casc = self.hbar[ell, n] @ (np.asarray(theta)[:, None] * self.gbar[ell, n, u])
+        theta = np.asarray(theta)
+        if np.ndim(ell) == 0:
+            return self._mix(ell, n, u, theta, scale)
+        out = np.empty(np.shape(u) + self.hd.shape[-2:], dtype=complex)
+        cuts = np.concatenate([[0], np.flatnonzero(np.diff(ell)) + 1, [np.size(ell)]])
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            out[lo:hi] = self._mix(ell[lo], n[lo:hi], u[lo:hi], theta[lo:hi], scale[lo:hi])
+        return out
+
+    def _mix(self, ell, n, u, theta, scale):
+        casc = self.hbar[ell, n] @ (theta[..., :, None] * self.gbar[ell, n, u])
         return scale[..., None, None] * casc + self.hd[ell, n, u]
 
     def cascade_and_direct(self, ell, n, u, f):
@@ -175,15 +185,15 @@ class ChannelSet:
         self._wg = np.zeros((nt, nc, u, n, mt), dtype=complex)
         self._wh = np.zeros((nt, nc, mr, n), dtype=complex)
         whd = np.zeros((nt, nc, u, mr, mt), dtype=complex)
+        # streams fill (re, im) pairs in place; one division sets E|x|^2 = 1
         for ell in range(nt):
             for sub in range(nc):
-                if n > 0:
-                    gr = rng_stream(seed, self.trial, ell, sub, LINK_G)
-                    self._wg[ell, sub] = _cgauss(gr, (u, n, mt))
-                    hr = rng_stream(seed, self.trial, ell, sub, LINK_H)
-                    self._wh[ell, sub] = _cgauss(hr, (mr, n))
-                dr = rng_stream(seed, self.trial, ell, sub, LINK_HD)
-                whd[ell, sub] = _cgauss(dr, (u, mr, mt))
+                for link, arr in ((LINK_G, self._wg), (LINK_H, self._wh), (LINK_HD, whd)):
+                    if arr.size:
+                        rng_stream(seed, self.trial, ell, sub, link).standard_normal(
+                            out=arr[ell, sub].view(float))
+        for arr in (self._wg, self._wh, whd):
+            arr /= math.sqrt(2.0)
 
         # the direct link never moves: realize it once
         d_ub = np.linalg.norm(scenario.user_positions - scenario.bs_position[None, :], axis=1)
@@ -236,11 +246,3 @@ class ChannelSet:
                 + math.sqrt(1.0 / (k2 + 1.0)) * self._wh)
         return ChannelRealization(q, gbar, hbar, self._hd, d_ur, d_rb,
                                   p.los_pathloss_ref, *p.ris_pathloss_exps)
-
-    def fingerprint(self):
-        """Stable hash of the raw draws (used to confirm paired trials share fading)."""
-        import hashlib
-        h = hashlib.sha256()
-        for arr in (self._wg, self._wh, self._hd):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()

@@ -175,13 +175,15 @@ class ConvexProgram:
     where G stacks the constraint gradients row-wise and hess_mix(coeffs)
     returns sum_i coeffs[i] * hess f_i as (dim, dim) (None when every
     constraint is affine).  Give one form or the other; the solver turns a
-    closure list into a pack.
+    closure list into a pack.  An optional `objective_value(x)` returns the
+    value alone, for the line search's probes.
     """
 
     dim: int
     objective: callable
     constraints: list = field(default_factory=list)
     constraint_pack: callable = None
+    objective_value: callable = None
 
 
 def _eval(fn, x):
@@ -242,8 +244,10 @@ def solve_convex_program(program, x0, tol=1e-8, return_duals=False,
         raise ConvexSolverError(
             f"infeasible start: constraint {worst} has value {fvals[worst]:.3g} (needs < 0)")
 
+    value_of = program.objective_value or (lambda xx: _eval(program.objective, xx)[0])
+
     def barrier_value(t, xx):
-        v0 = _eval(program.objective, xx)[0]
+        v0 = value_of(xx)
         fv = ineq_values(xx)
         if fv.size and not _strictly_feasible(fv):
             return np.inf

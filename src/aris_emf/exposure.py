@@ -148,16 +148,6 @@ def power_factor(share, sigma2, w):
     return sigma2 * (2.0 ** (share / w) - 1.0)
 
 
-def min_power_for_rate(rbar, gamma, sigma2, w):
-    """Transmit power that meets the rate share `rbar` exactly: (2^{r/w}-1) sigma2/gamma."""
-    if rbar == 0:
-        return 0.0
-    if gamma <= 0:
-        raise InfeasibleError(
-            f"link with zero channel gain cannot carry a positive rate ({rbar} bits/s)")
-    return power_factor(rbar, sigma2, w) / gamma
-
-
 def exposure_index(per_user_exposure, slot_duration):
     """Network exposure index: (duration / (N_T * U)) * sum over users and slots.
 

@@ -11,6 +11,10 @@ state only when the network exposure index does not increase and per-user
 power caps remain satisfied, so the exposure trace is non-increasing by
 construction.
 
+The allocation, the cache refresh and the beam search run as one array
+pass over all slots; a sweep searches every slot's beams before its first
+slot, which is exact since no block writes a slot's rows before its turn.
+
 Throughout, each assigned resource element carries a fixed rate share, and
 its transmit power is pinned to rate equality (p = power_factor / gain);
 the power sub-block is the one place where shares themselves are
@@ -21,6 +25,7 @@ every accepted block.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,18 +108,17 @@ class SolutionState:
                               self.scenario.params.slot_duration)
 
     def slot_rates(self, ell):
-        """(U,) achieved rates in slot ell from the cached gains."""
+        """(U,) achieved rates in slot ell from the cached gains ((N_T, U)
+        for every slot when ell is `...`)."""
         p = self.scenario.params
         with np.errstate(divide="ignore", invalid="ignore"):
             snr = np.where(self.delta[ell] > 0,
                            self.powers[ell] * self.gamma[ell] / p.noise_per_re, 0.0)
-        return p.bandwidth_per_re * np.log2(1.0 + snr).sum(axis=1)
+        return p.bandwidth_per_re * np.log2(1.0 + snr).sum(axis=-1)
 
     def achieved_rates(self):
         """(U,) worst per-slot rate of each user."""
-        all_rates = np.stack([self.slot_rates(ell)
-                              for ell in range(self.scenario.num_slots)])
-        return all_rates.min(axis=0)
+        return self.slot_rates(...).min(axis=0)
 
     def report(self, label):
         return ExposureReport(self.per_user_exposure(), self.exposure(),
@@ -137,17 +141,13 @@ class SolutionState:
         if self.thetas.size and np.any(np.abs(np.abs(self.thetas) - 1.0) > 1e-9):
             raise InfeasibleError("unit-modulus constraint violated on the "
                                   "surface phases")
-        for ell in range(sc.num_slots):
-            rates = self.slot_rates(ell)
-            bad = np.flatnonzero(rates < sc.rate_targets * (1.0 - 1e-6))
-            if bad.size:
-                raise InfeasibleError(
-                    f"rate target violated in slot {ell} for users {bad.tolist()}")
-            spent = self.powers[ell].sum(axis=1)
-            over = np.flatnonzero(spent > p.p_max * (1.0 + CAP_SLACK))
-            if over.size:
-                raise InfeasibleError(
-                    f"power cap violated in slot {ell} for users {over.tolist()}")
+        short = self.slot_rates(...) < sc.rate_targets * (1.0 - 1e-6)
+        over = self.powers.sum(axis=-1) > p.p_max * (1.0 + CAP_SLACK)
+        for ell, rows in enumerate(zip(short, over)):
+            for what, bad in zip(("rate target", "power cap"), rows):
+                if bad.any():
+                    raise InfeasibleError(f"{what} violated in slot {ell} for users "
+                                          f"{np.flatnonzero(bad).tolist()}")
         Trajectory(self.trajectory).check(p.max_slot_distance,
                                           sc.aris_start, sc.aris_end)
         return True
@@ -167,7 +167,8 @@ def _exposure_weight(state, ell):
 
 
 def _equality_powers(state, ell, gamma):
-    """Powers meeting each active RE's share exactly (p = power_factor / gain)."""
+    """Powers meeting each active RE's share exactly (p = power_factor / gain)
+    in slot ell, or in every slot when ell is `...`."""
     active = state.delta[ell] > 0
     if np.any(gamma[active] <= 0):
         raise InfeasibleError("an assigned resource element has no usable gain")
@@ -179,16 +180,14 @@ def _equality_powers(state, ell, gamma):
 
 
 def _refresh(state):
-    """Recompute every slot's cached gains and reference exposures at the
-    current channels, phases and beams, then its rate-equality powers."""
-    sc = state.scenario
-    for ell in range(sc.num_slots):
-        u, n = np.nonzero(state.delta[ell])
-        beams = state.beams[ell, u, n]
-        h_eff = state.channels.effective(ell, n, u, state.thetas[ell])
-        state.gamma[ell, u, n] = channel_gain(h_eff, beams)
-        state.sar[ell, u, n] = _sar_of(beams, sc.sar_model)
-        state.powers[ell] = _equality_powers(state, ell, state.gamma[ell])
+    """Recompute, in one pass over all slots, the active links' cached gains
+    and reference exposures, then the rate-equality powers."""
+    l, u, n = np.nonzero(state.delta)
+    beams = state.beams[l, u, n]
+    h_eff = state.channels.effective(l, n, u, state.thetas[l])
+    state.gamma[l, u, n] = channel_gain(h_eff, beams)
+    state.sar[l, u, n] = _sar_of(beams, state.scenario.sar_model)
+    state.powers[...] = _equality_powers(state, ..., state.gamma)
 
 
 def _caps_ok(powers, p_max):
@@ -204,27 +203,21 @@ def initialize_state(scenario, channel_set, path):
         raise InfeasibleError("fewer resource elements than users")
     channels = channel_set.realize(path)
     nt, u, nc = p.num_slots, p.num_users, p.num_subcarriers
+    if p.num_ris_elements > 0:
+        d_ur, d_rb, (k1, k2) = channels.d_ur, channels.d_rb, p.ris_pathloss_exps
+    else:
+        # no surface, so no meaningful distance factor: split by rate burden alone
+        d_ur, d_rb, k1, k2 = np.ones((nt, u)), np.ones(nt), 0.0, 0.0
+    owner = allocate(scenario.rate_targets, d_ur, d_rb, k1, k2, p.bandwidth_per_re, nc)
     shape = (nt, u, nc)
     state = SolutionState(
         scenario=scenario, channel_set=channel_set, channels=channels,
-        trajectory=path, delta=np.zeros(shape), shares=np.zeros(shape),
+        trajectory=path, delta=owner.delta.copy(),
+        shares=owner.delta * (scenario.rate_targets / owner.counts)[..., None],
         powers=np.zeros(shape), gamma=np.zeros(shape), sar=np.zeros(shape),
         beams=beam_array(shape, *NEUTRAL_BEAM),
         thetas=np.tile(uniform_phases(p.num_ris_elements).values, (nt, 1)),
     )
-    k1, k2 = p.ris_pathloss_exps
-    for ell in range(nt):
-        if p.num_ris_elements > 0:
-            owner = allocate(scenario.rate_targets, channels.d_ur[ell],
-                             channels.d_rb[ell], k1, k2,
-                             p.bandwidth_per_re, nc)
-        else:
-            # with no reflecting surface the metric's distance factor is
-            # meaningless; split by rate burden alone
-            owner = allocate(scenario.rate_targets, np.ones(u), 1.0,
-                             0.0, 0.0, p.bandwidth_per_re, nc)
-        state.delta[ell] = owner.delta
-        state.shares[ell] = owner.delta * (scenario.rate_targets / owner.counts)[:, None]
     _refresh(state)
 
     spent = state.powers.sum(axis=2)
@@ -235,35 +228,43 @@ def initialize_state(scenario, channel_set, path):
     return state
 
 
-def _block_beams(state, ell, check_caps):
-    """Ratio-minimizing beams of the slot's active links, searched together;
-    each link keeps its incumbent unless the new beam's ratio is no worse.
-    Returns candidate arrays, or None when some link has no usable beam."""
+def _block_beams(state, check_caps):
+    """Ratio-minimizing beams of every slot's active links; each link keeps
+    its incumbent unless the new beam's ratio is no worse.  One search per
+    slot bounds the (links, phases) work arrays.  Returns one entry per slot:
+    candidate arrays, or None when some link of the slot has no usable beam."""
     sc = state.scenario
     p = sc.params
-    u, n = np.nonzero(state.delta[ell])
-    h_eff = state.channels.effective(ell, n, u, state.thetas[ell])
-    consts = BeamConstants(rbar=state.shares[ell, u, n], sigma2=p.noise_per_re,
-                           bandwidth=p.bandwidth_per_re)
-    try:
-        found, _ = optimize_beamformer(gram(h_eff), sc.sar_model, consts)
-    except InfeasibleError:
-        return None
-    state.counters["dinkelbach_calls"] += u.size
+    l, u, n = np.nonzero(state.delta)
+    h_eff = state.channels.effective(l, n, u, state.thetas[l])
+    k_mat = gram(h_eff)
+    rbar = state.shares[l, u, n]
+    found = beam_array(l.size, *NEUTRAL_BEAM)
+    usable = np.ones(p.num_slots, dtype=bool)
+    bounds = np.searchsorted(l, np.arange(p.num_slots + 1))
+    for ell, k in enumerate(map(slice, bounds[:-1], bounds[1:])):
+        consts = BeamConstants(rbar=rbar[k], sigma2=p.noise_per_re,
+                               bandwidth=p.bandwidth_per_re)
+        try:
+            found[k], _ = optimize_beamformer(k_mat[k], sc.sar_model, consts)
+        except InfeasibleError:
+            usable[ell] = False
+    state.counters["dinkelbach_calls"] += int(usable[l].sum())
     new_gain = channel_gain(h_eff, found)
     new_sar = _sar_of(found, sc.sar_model)
-    pf = consts.power_factor
-    old_gain, old_sar = state.gamma[ell, u, n], state.sar[ell, u, n]
+    pf = power_factor(rbar, p.noise_per_re, p.bandwidth_per_re)
+    old_gain, old_sar = state.gamma[l, u, n], state.sar[l, u, n]
     with np.errstate(divide="ignore", invalid="ignore"):
-        take = (new_gain > 0) & (new_sar * pf / new_gain <= old_sar * pf
-                                 / np.maximum(old_gain, 1e-300) * (1.0 + REL_TOL))
-    u, n = u[take], n[take]
-    beams, gamma, sar = (arr[ell].copy() for arr in (state.beams, state.gamma, state.sar))
-    beams[u, n], gamma[u, n], sar[u, n] = found[take], new_gain[take], new_sar[take]
-    powers = _equality_powers(state, ell, gamma)
-    if check_caps and not _caps_ok(powers, p.p_max):
-        return None
-    return beams, gamma, sar, powers
+        take = usable[l] & (new_gain > 0) & (new_sar * pf / new_gain <= old_sar * pf
+                                             / np.maximum(old_gain, 1e-300) * (1.0 + REL_TOL))
+    l, u, n = l[take], u[take], n[take]
+    beams, gamma, sar = (arr.copy() for arr in (state.beams, state.gamma, state.sar))
+    beams[l, u, n], gamma[l, u, n], sar[l, u, n] = found[take], new_gain[take], new_sar[take]
+    powers = _equality_powers(state, ..., gamma)
+    if check_caps:
+        usable &= [_caps_ok(slot_powers, p.p_max) for slot_powers in powers]
+    return [(beams[ell], gamma[ell], sar[ell], powers[ell]) if ok else None
+            for ell, ok in enumerate(usable)]
 
 
 def _block_phases(state, ell, rng, check_caps):
@@ -320,10 +321,13 @@ def _sweep_slots(state, phase_rngs, tune_phases, current, check_caps):
 
     check_caps makes the beam and phase blocks reject a candidate that
     breaks a power cap; without it the caller restores the caps itself.
-    Returns the exposure after the sweep.
+    Returns the exposure after the sweep.  Every slot's beams are searched
+    up front, which is exact: until slot ell's turn no block writes row ell of
+    delta, shares, thetas, beams, gamma or sar.  Each slot's candidate is
+    still accepted or rejected at its turn.
     """
-    for ell in range(state.scenario.num_slots):
-        cand = _block_beams(state, ell, check_caps)
+    beam_cands = _block_beams(state, check_caps)
+    for ell, cand in enumerate(beam_cands):
         current = _accept(state, ell, "beams", cand, current,
                           ("beams", "gamma", "sar", "powers"))
         if tune_phases:
@@ -527,12 +531,19 @@ def _hover_exposure(scenario, channel_set, position):
 
 def fixed_position_search(scenario, trial=0, resolution=1.0, channel_set=None):
     """Divide-and-conquer hover-point search: probe a 3x3 stencil of the
-    current radius, recenter on the best, halve, stop below `resolution`."""
+    current radius, recenter on the best, halve, stop below `resolution`.
+    Each distinct point is probed once (stencils overlap, on exact dyadic
+    fractions of the radius), its value then remembered."""
     if channel_set is None:
         channel_set = ChannelSet(scenario, trial)
+
+    @functools.lru_cache(maxsize=None)
+    def value(x, y):
+        return _hover_exposure(scenario, channel_set, (x, y))
+
     center = np.zeros(2)
     radius = float(scenario.cell_radius)
-    best_val = _hover_exposure(scenario, channel_set, center)
+    best_val = value(*center.tolist())
     while radius >= resolution:
         moved = False
         for dx in (-radius, 0.0, radius):
@@ -542,7 +553,7 @@ def fixed_position_search(scenario, trial=0, resolution=1.0, channel_set=None):
                 cand = center + np.array([dx, dy])
                 if np.hypot(*cand) > scenario.cell_radius:
                     continue
-                val = _hover_exposure(scenario, channel_set, cand)
+                val = value(*cand.tolist())
                 if val < best_val:
                     best_val, center, moved = val, cand, True
         if not moved:

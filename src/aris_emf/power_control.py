@@ -114,17 +114,6 @@ def _solve(gamma, sar, rate_target, p_max, sigma2, w):
     return 2.0 ** log_nu * LN2 / w, lam, p
 
 
-def solve_multipliers(gamma, sar, rate_target, p_max, sigma2, w):
-    """Multipliers (mu*, lam*) of one user's exposure-minimal power problem.
-
-    gamma/sar: per-element gains and reference exposures of the user's
-    assigned elements (all positive).  Raises InfeasibleError when even the
-    least spend that meets rate_target exceeds p_max.
-    """
-    mu, lam, _ = _solve(gamma, sar, rate_target, p_max, sigma2, w)
-    return mu, lam
-
-
 def allocate_power(delta_row, gamma_row, sar_row, rate_target, p_max, sigma2, w,
                    user=None):
     """Powers and per-element rate shares for one user across one slot.

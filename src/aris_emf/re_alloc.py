@@ -18,20 +18,20 @@ from .exposure import InfeasibleError, power_factor
 
 @dataclass(frozen=True)
 class AllocationMatrix:
-    """Binary user-by-element ownership for one slot."""
+    """Binary user-by-element ownership, (..., U, N_c): one or more slots."""
 
     delta: np.ndarray
 
     def __post_init__(self):
         delta = np.asarray(self.delta, dtype=float)
-        if delta.ndim != 2:
-            raise ValueError(f"allocation must be 2-D, got shape {delta.shape}")
+        if delta.ndim < 2:
+            raise ValueError(f"allocation must be at least 2-D, got shape {delta.shape}")
         if not np.all((delta == 0.0) | (delta == 1.0)):
             raise ValueError("allocation entries must be 0 or 1")
-        if np.any(delta.sum(axis=0) > 1):
+        if np.any(delta.sum(axis=-2) > 1):
             raise ValueError("a resource element is assigned to more than one user")
-        users, res = delta.shape
-        if res >= users and np.any(delta.sum(axis=1) < 1):
+        users, res = delta.shape[-2:]
+        if res >= users and np.any(delta.sum(axis=-1) < 1):
             raise ValueError("a user holds no resource element")
         delta.setflags(write=False)
         object.__setattr__(self, "delta", delta)
@@ -39,7 +39,7 @@ class AllocationMatrix:
     @property
     def counts(self):
         """Resource elements held by each user."""
-        return self.delta.sum(axis=1).astype(int)
+        return self.delta.sum(axis=-1).astype(int)
 
 
 def ranking_metric(r_u, d_ur, d_rb, kappa1, kappa2, w):
@@ -53,27 +53,28 @@ def allocate(rates, d_ur, d_rb, kappa1, kappa2, w, num_res):
     """Greedy allocation of num_res elements among len(rates) users.
 
     rates: per-user total rate burden (bit/s) driving the metric; d_ur:
-    per-user distance to the reflecting surface at this slot; d_rb: surface
-    to base-station distance.  Ties go to the lowest user index.
+    (U,) distances to the reflecting surface, or (N_T, U) for N_T slots
+    granted together; d_rb: the surface to base-station distance, scalar or
+    (N_T,).  Ties go to the lowest user index.
     """
     rates = np.asarray(rates, dtype=float)
     d_ur = np.asarray(d_ur, dtype=float)
+    d_rb = np.asarray(d_rb, dtype=float)
     users = rates.size
     if num_res < users:
         raise InfeasibleError(
             f"{num_res} resource elements cannot seed {users} users")
-    if d_ur.shape != (users,):
-        raise ValueError("one surface distance needed per user")
-    if np.any(d_ur <= 0) or d_rb <= 0:
+    if d_ur.shape[-1:] != (users,) or d_rb.shape != d_ur.shape[:-1]:
+        raise ValueError("one surface distance needed per user and slot")
+    if np.any(d_ur <= 0) or np.any(d_rb <= 0):
         raise ValueError("distances must be positive")
 
-    delta = np.zeros((users, num_res))
-    counts = np.ones(users)
-    for u in range(users):
-        delta[u, u] = 1.0
+    slots = d_rb.shape
+    delta = np.zeros(slots + (users, num_res))
+    counts = np.ones(slots + (users,))
+    delta[..., np.arange(users), np.arange(users)] = 1.0
     for n in range(users, num_res):
-        metric = ranking_metric(rates / counts, d_ur, d_rb, kappa1, kappa2, w)
-        winner = int(np.argmax(metric))
-        delta[winner, n] = 1.0
-        counts[winner] += 1.0
+        metric = ranking_metric(rates / counts, d_ur, d_rb[..., None], kappa1, kappa2, w)
+        np.put_along_axis(delta[..., n], np.argmax(metric, axis=-1)[..., None], 1.0, -1)
+        counts += delta[..., n]
     return AllocationMatrix(delta)

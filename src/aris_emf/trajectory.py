@@ -217,25 +217,26 @@ def sca_step(state, gain_field, user_positions, bs_position, max_step,
     exact = b_neg[pl + 1, pu] > 0.0                 # kept-exact convex cross terms
     eu, ev, ec = iu[exact], iv[exact], b_neg[pl + 1, pu][exact]
 
-    def raw_objective(x):
-        val = const + float(lin @ x)
+    def raw_objective(x, want_derivs=True):
+        # (value, gradient, Hessian), or the value alone for line-search
+        # probes; a probe outside the distance cone, which the barrier
+        # rejects, gets an infinite value
+        uu, vv = x[eu], x[ev]
+        if np.any(uu <= 0.0) or np.any(vv <= 0.0):
+            return (np.inf, lin, np.zeros((dim, dim))) if want_derivs else np.inf
+        f = ec * uu ** -h1 * vv ** -h2
+        val = const + float(lin @ x) + float(f.sum())
+        if not want_derivs:
+            return val
         grad = lin.copy()
         hess = np.zeros((dim, dim))
-        if eu.size:
-            uu, vv = x[eu], x[ev]
-            if np.any(uu <= 0.0) or np.any(vv <= 0.0):
-                # line-search probe outside the distance cone; the barrier
-                # rejects such points, only the (infinite) value matters
-                return np.inf, grad, hess
-            f = ec * uu ** -h1 * vv ** -h2
-            val += float(f.sum())
-            np.add.at(grad, eu, -h1 * f / uu)
-            np.add.at(grad, ev, -h2 * f / vv)
-            cross = h1 * h2 * f / (uu * vv)
-            np.add.at(hess, (eu, eu), h1 * (h1 + 1.0) * f / uu ** 2)
-            np.add.at(hess, (ev, ev), h2 * (h2 + 1.0) * f / vv ** 2)
-            np.add.at(hess, (eu, ev), cross)
-            np.add.at(hess, (ev, eu), cross)
+        np.add.at(grad, eu, -h1 * f / uu)
+        np.add.at(grad, ev, -h2 * f / vv)
+        cross = h1 * h2 * f / (uu * vv)
+        np.add.at(hess, (eu, eu), h1 * (h1 + 1.0) * f / uu ** 2)
+        np.add.at(hess, (ev, ev), h2 * (h2 + 1.0) * f / vv ** 2)
+        np.add.at(hess, (eu, ev), cross)
+        np.add.at(hess, (ev, eu), cross)
         return val, grad, hess
 
     # slack surrogates |q - target|^2 + dz^2 + s0^2 - 2 s0 s <= 0, one row per
@@ -287,7 +288,8 @@ def sca_step(state, gain_field, user_positions, bs_position, max_step,
         val, grad, hess = raw_objective(x)
         return val / scale, grad / scale, hess / scale
 
-    prog = ConvexProgram(dim=dim, objective=objective, constraint_pack=pack)
+    prog = ConvexProgram(dim=dim, objective=objective, constraint_pack=pack,
+                         objective_value=lambda x: raw_objective(x, False) / scale)
     try:
         sol = solve_convex_program(prog, x0, tol=barrier_tol, t_growth=4.0)
     except ConvexSolverError as exc:

@@ -100,5 +100,13 @@ def test_link_primitives_the_benchmark_times_are_called_in_a_desk_run():
         run_ao(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1, knobs=MC_KNOBS)
     totals = tracer.totals()
     for name in ("channel.ChannelRealization.effective", "channel.channel_gain",
-                 "beamforming.optimize_beamformer"):
+                 "beamforming.optimize_beamformer", "re_alloc.allocate",
+                 "orchestrator.initialize_state"):
         assert totals[name][0] > 0, name
+    # the hover search runs only in the fixed-surface scheme
+    tracer = instrument.Tracer()
+    with ExitStack() as stack:
+        tracer.install(stack)
+        baseline_fixed_ris(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1,
+                           knobs=MC_KNOBS)
+    assert tracer.totals()["orchestrator.fixed_position_search"][0] > 0

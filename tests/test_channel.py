@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aris_emf.channel import (TWO_PI, Beamformer, ChannelSet, _cgauss,
-                              beam_array, beam_vector, channel_gain, gram,
-                              rng_stream)
+from aris_emf.channel import (TWO_PI, Beamformer, ChannelSet, beam_array,
+                              beam_vector, channel_gain, gram, rng_stream)
 from aris_emf.scenario import desk_scenario, scenario_from_options
+from oracles import fingerprint
 
 
 # Per-link reference model: one draw of each channel at a given geometry,
 # built from scratch, against which ChannelSet's batched realization is checked.
+
+def _cgauss(rng, shape):
+    """i.i.d. standard complex Gaussian entries, E|x|^2 = 1."""
+    z = rng.standard_normal(size=shape + (2,))
+    return (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+
 
 def steering_vector(m, gamma, spacing):
     """ULA steering vector: entry k is exp(-j*2*pi*spacing*k*gamma), k = 0..m-1."""
@@ -381,8 +387,8 @@ def test_rng_streams_reproducible_and_distinct():
 
 def test_channel_set_fingerprint_pairs_trials():
     sc = desk_scenario(seed=4)
-    assert ChannelSet(sc, 0).fingerprint() == ChannelSet(sc, 0).fingerprint()
-    assert ChannelSet(sc, 0).fingerprint() != ChannelSet(sc, 1).fingerprint()
+    assert fingerprint(ChannelSet(sc, 0)) == fingerprint(ChannelSet(sc, 0))
+    assert fingerprint(ChannelSet(sc, 0)) != fingerprint(ChannelSet(sc, 1))
 
 
 def test_batched_link_primitives_match_per_link_oracles():
@@ -420,3 +426,25 @@ def test_batched_link_primitives_match_per_link_oracles():
                 gain, rel=1e-12)
             one = Beamformer(beams.alpha[k], beams.beta[k])
             assert channel_gain(want, one) == pytest.approx(gain, rel=1e-12)
+
+
+@pytest.mark.parametrize("num_ris_elements", [16, 0])
+def test_effective_on_a_slot_array_matches_per_slot_calls(num_ris_elements):
+    # every (user, RE) pair of a slot, so each (slot, RE) repeats across
+    # users; slot 2 carries no link, and each link brings its slot's phases
+    sc = desk_scenario(num_ris_elements=num_ris_elements)
+    p = sc.params
+    real = ChannelSet(sc, trial=1).realize(
+        np.linspace(sc.aris_start, sc.aris_end, p.num_slots))
+    rng = np.random.default_rng(16)
+    thetas = np.exp(1j * rng.uniform(0, TWO_PI, (p.num_slots, p.num_ris_elements)))
+    delta = np.ones((p.num_slots, p.num_users, p.num_subcarriers))
+    delta[2] = 0.0
+    delta[4] = rng.uniform(size=delta[4].shape) < 0.5
+    ell, u, n = np.nonzero(delta)
+    got = real.effective(ell, n, u, thetas[ell])
+    assert got.shape == (ell.size, p.rx_antennas, p.tx_antennas)
+    for slot in np.unique(ell):
+        k = ell == slot
+        want = real.effective(slot, n[k], u[k], thetas[slot])
+        assert np.array_equal(got[k].view(np.uint64), want.view(np.uint64))

@@ -385,3 +385,28 @@ def test_barrier_converges_on_a_badly_scaled_program(slope):
                      lambda x: (x[1] - 1.0, np.array([0.0, 1.0]), zero)])
     x = solve_convex_program(prog, np.array([1e-3, 0.5]), tol=1e-9)
     assert np.all(np.abs(x) <= 1e-9)
+
+
+def test_value_only_objective_serves_the_line_search():
+    # the line search reads only values: a program that supplies them alone
+    # takes the same steps and evaluates the full objective only per Newton step
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        prog, center, _ = qcqp_fixture(rng)
+        calls = {"full": 0}
+
+        def counted(x, objective=prog.objective):
+            calls["full"] += 1
+            return objective(x)
+
+        x_full = solve_convex_program(
+            ConvexProgram(dim=prog.dim, objective=counted,
+                          constraints=prog.constraints), center, tol=1e-9)
+        with_probes = calls["full"]
+        calls["full"] = 0
+        x_value = solve_convex_program(
+            ConvexProgram(dim=prog.dim, objective=counted, constraints=prog.constraints,
+                          objective_value=lambda x: prog.objective(x)[0]),
+            center, tol=1e-9)
+        assert np.array_equal(x_full, x_value)
+        assert 0 < calls["full"] < with_probes

@@ -6,10 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from aris_emf.exposure import InfeasibleError, exposure_index, min_power_for_rate
+from aris_emf import orchestrator
+from aris_emf.beamforming import BeamConstants, optimize_beamformer
+from aris_emf.channel import channel_gain, gram
+from aris_emf.exposure import (InfeasibleError, exposure_index, power_factor,
+                               reference_sar)
 from aris_emf.harness import MC_EPS, MC_KNOBS
 from aris_emf.orchestrator import (
     AoKnobs,
+    _block_beams,
     _trajectory_field,
     baseline_fixed_ris,
     baseline_no_ris,
@@ -20,6 +25,7 @@ from aris_emf.orchestrator import (
 from aris_emf.channel import ChannelSet
 from aris_emf.scenario import Scenario, SystemParams, desk_scenario
 from aris_emf.trajectory import link_distances, straight_trajectory
+from oracles import fingerprint, min_power_for_rate
 
 FAST = AoKnobs(traj_outers=1)
 
@@ -190,6 +196,95 @@ def test_path_subproblem_converges_on_desk_trials(trial):
     assert failed == []
 
 
+def per_slot_beam_candidate(state, ell):
+    """The beam block's candidate for slot ell from a search on that slot's
+    links alone, as a search at the slot's own turn in the sweep builds it."""
+    sc = state.scenario
+    p = sc.params
+    u, n = np.nonzero(state.delta[ell])
+    h_eff = state.channels.effective(ell, n, u, state.thetas[ell])
+    consts = BeamConstants(rbar=state.shares[ell, u, n], sigma2=p.noise_per_re,
+                           bandwidth=p.bandwidth_per_re)
+    found, _ = optimize_beamformer(gram(h_eff), sc.sar_model, consts)
+    new_gain = channel_gain(h_eff, found)
+    new_sar = reference_sar(sc.sar_model, np.moveaxis(found.alpha, -1, 0),
+                            found.beta[..., 1])
+    pf = consts.power_factor
+    old_gain, old_sar = state.gamma[ell, u, n], state.sar[ell, u, n]
+    take = (new_gain > 0) & (new_sar * pf / new_gain
+                             <= old_sar * pf / old_gain * (1.0 + 1e-12))
+    beams, gamma, sar = (arr[ell].copy() for arr in (state.beams, state.gamma, state.sar))
+    u, n = u[take], n[take]
+    beams[u, n], gamma[u, n], sar[u, n] = found[take], new_gain[take], new_sar[take]
+    active = state.delta[ell] > 0
+    powers = np.zeros_like(gamma)
+    powers[active] = power_factor(state.shares[ell][active], p.noise_per_re,
+                                  p.bandwidth_per_re) / gamma[active]
+    return beams, gamma, sar, powers
+
+
+@pytest.mark.parametrize("trial", [0, 1, 2])
+def test_sweep_wide_beam_candidates_match_per_slot_searches(trial):
+    # at the first sweep's start (neutral beams) and at the second's
+    sc = desk_scenario()
+    first = make_state(sc, trial)
+    second, _ = run_ao(sc, trial=trial, eps=MC_EPS, max_outer=1, knobs=MC_KNOBS)
+    for state in (first, second):
+        cands = _block_beams(state, check_caps=True)
+        assert len(cands) == sc.num_slots
+        for ell, cand in enumerate(cands):
+            want = per_slot_beam_candidate(state, ell)
+            assert cand is not None
+            for got_arr, want_arr in zip(cand, want):
+                assert np.array_equal(got_arr, want_arr)
+
+
+def stencil_search_reference(scenario, channel_set, resolution=1.0):
+    """fixed_position_search with every probe evaluated; returns the center
+    and the probed points in order."""
+    probes = []
+
+    def value(point):
+        probes.append((float(point[0]), float(point[1])))
+        return orchestrator._hover_exposure(scenario, channel_set, point)
+
+    center = np.zeros(2)
+    radius = float(scenario.cell_radius)
+    best_val = value(center)
+    while radius >= resolution:
+        moved = False
+        for dx in (-radius, 0.0, radius):
+            for dy in (-radius, 0.0, radius):
+                cand = center + np.array([dx, dy])
+                if (dx, dy) == (0.0, 0.0) or np.hypot(*cand) > scenario.cell_radius:
+                    continue
+                val = value(cand)
+                if val < best_val:
+                    best_val, center, moved = val, cand, True
+        if not moved:
+            radius *= 0.5
+    return center, probes
+
+
+@pytest.mark.parametrize("trial", [0, 1])
+def test_hover_search_probes_each_distinct_point_once(trial, monkeypatch):
+    sc = desk_scenario()
+    cs = ChannelSet(sc, trial)
+    want, probes = stencil_search_reference(sc, cs)
+    probed = []
+    initialize = orchestrator.initialize_state
+
+    def counting(scenario, channel_set, path):
+        probed.append((float(path[0, 0]), float(path[0, 1])))
+        return initialize(scenario, channel_set, path)
+
+    monkeypatch.setattr(orchestrator, "initialize_state", counting)
+    got = orchestrator.fixed_position_search(sc, trial=trial, channel_set=cs)
+    assert np.array_equal(got, want)
+    assert len(set(probes)) < len(probes)
+    assert len(probed) == len(set(probed)) == len(set(probes))
+
+
 def test_beams_are_a_float_record_array():
     state = make_state(desk_scenario())
     assert state.beams.shape == state.delta.shape
@@ -255,9 +350,9 @@ def test_schemes_share_channel_realizations_per_trial():
     sc = desk_scenario()
     with_ris = ChannelSet(sc, trial=5)
     again = ChannelSet(sc, trial=5)
-    assert with_ris.fingerprint() == again.fingerprint()
+    assert fingerprint(with_ris) == fingerprint(again)
     other_trial = ChannelSet(sc, trial=6)
-    assert with_ris.fingerprint() != other_trial.fingerprint()
+    assert fingerprint(with_ris) != fingerprint(other_trial)
 
 
 def test_optimized_beats_unoptimized_benchmarks_on_most_trials():

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from aris_emf.convex_kernels import ConvexProgram, bisect, solve_convex_program
-from aris_emf.exposure import InfeasibleError, min_power_for_rate
-from aris_emf.power_control import (
-    LN2,
-    PowerAllocation,
-    allocate_power,
-    solve_multipliers,
-)
+from aris_emf.exposure import InfeasibleError
+from aris_emf.power_control import LN2, PowerAllocation, allocate_power
+from oracles import min_power_for_rate, solve_multipliers
 
 W = 240e3
 SIGMA2 = 1e-13

@@ -113,3 +113,30 @@ def test_identical_inputs_identical_outputs():
     one = allocate(rates, d_ur, 75.0, 2.2, 2.2, W, 8).delta
     two = allocate(rates, d_ur, 75.0, 2.2, 2.2, W, 8).delta
     assert np.array_equal(one, two)
+
+
+def test_slot_axis_matches_per_slot_calls():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        users = int(rng.integers(2, 6))
+        slots = int(rng.integers(1, 7))
+        num_res = int(rng.integers(users, 14))
+        rates = rng.uniform(1e6, 9e6, size=users)
+        d_ur = rng.uniform(20, 200, size=(slots, users))
+        d_rb = rng.uniform(20, 200, size=slots)
+        # a slot of equidistant users exercises the tie-break as well
+        d_ur[0] = d_ur[0, 0]
+        got = allocate(rates, d_ur, d_rb, 2.2, 2.2, W, num_res)
+        assert got.delta.shape == (slots, users, num_res)
+        for ell in range(slots):
+            want = allocate(rates, d_ur[ell], d_rb[ell], 2.2, 2.2, W, num_res)
+            assert np.array_equal(got.delta[ell], want.delta)
+            assert np.array_equal(got.counts[ell], want.counts)
+
+
+def test_slot_axis_shapes_are_checked():
+    with pytest.raises(ValueError, match="per user and slot"):
+        allocate(np.array([1e6, 1e6]), np.ones((3, 2)), np.ones(2), 2.2, 2.2, W, 4)
+    with pytest.raises(ValueError, match="positive"):
+        allocate(np.array([1e6, 1e6]), np.ones((3, 2)), np.array([1.0, 0.0, 1.0]),
+                 2.2, 2.2, W, 4)
