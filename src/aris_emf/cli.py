@@ -14,6 +14,7 @@ from .harness import (
     MC_EPS,
     MC_KNOBS,
     SCHEMES,
+    SWEEPABLE,
     SweepSpec,
     Table,
     cdf_table,
@@ -23,10 +24,7 @@ from .harness import (
     xy_table,
 )
 from .orchestrator import run_ao
-from .scenario import ConfigError, dbm_to_watts, load_scenario
-
-PARAM_ALIASES = {"mr": "rx_antennas", "n": "num_ris_elements",
-                 "noise": "noise_psd"}
+from .scenario import ConfigError, load_scenario, parse_value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +58,7 @@ def _build_parser():
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo parameter sweep")
     common(p_sweep)
-    p_sweep.add_argument("--param", required=True, choices=sorted(PARAM_ALIASES),
+    p_sweep.add_argument("--param", required=True, choices=sorted(SWEEPABLE),
                          help="swept parameter: mr (receive antennas), "
                               "n (surface elements), noise (PSD, dBm/Hz)")
     p_sweep.add_argument("--values", required=True,
@@ -125,16 +123,11 @@ def _cmd_optimize(args):
 
 def _cmd_sweep(args):
     scenario = _load(args)
-    parameter = PARAM_ALIASES[args.param]
-    try:
-        raw_values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"--values must be comma-separated numbers, "
-                          f"got {args.values!r}")
-    if parameter == "noise_psd":  # dBm/Hz at the CLI boundary
-        values = [dbm_to_watts(v) for v in raw_values]
-    else:
-        values = raw_values
+    parameter = SWEEPABLE[args.param]
+    try:  # read in the config file's units, e.g. noise as dBm/Hz
+        values = [parse_value(parameter, v) for v in args.values.split(",") if v.strip()]
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"--values {args.values!r}: {exc}") from None
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     spec = SweepSpec(parameter, tuple(values), args.trials, schemes, scenario)
     result = monte_carlo_sweep(spec)

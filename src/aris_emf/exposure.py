@@ -180,13 +180,6 @@ class ExposureReport:
         object.__setattr__(self, "achieved_rates",
                            np.asarray(self.achieved_rates, dtype=float))
 
-    def check(self, slot_duration):
-        got = exposure_index(self.per_user_exposure, slot_duration)
-        ref = max(abs(self.exposure_index), 1e-300)
-        if abs(got - self.exposure_index) > 1e-12 * ref:
-            raise ValueError("ExposureReport index does not match its per-user tensor")
-        return True
-
     def per_user_index(self, slot_duration):
         """Per-user time-averaged exposure (duration * mean over slots)."""
         nt = self.per_user_exposure.shape[1]

@@ -28,7 +28,8 @@ from .orchestrator import (
 from .scenario import scenario_with
 from .trajectory import straight_trajectory
 
-SWEEPABLE = ("rx_antennas", "num_ris_elements", "noise_psd")
+# sweepable parameters, by their command-line alias
+SWEEPABLE = {"mr": "rx_antennas", "n": "num_ris_elements", "noise": "noise_psd"}
 SCHEMES = ("proposed", "fixed", "random", "zero", "no-ris")
 
 # Monte Carlo default budgets: one linearized path move, loose outer stop.
@@ -48,9 +49,9 @@ class SweepSpec:
     scenario: object
 
     def __post_init__(self):
-        if self.parameter not in SWEEPABLE:
+        if self.parameter not in SWEEPABLE.values():
             raise ValueError(f"unknown sweep parameter {self.parameter!r}; "
-                             f"choose one of {SWEEPABLE}")
+                             f"choose one of {tuple(SWEEPABLE.values())}")
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("sweep needs at least one value")
@@ -80,10 +81,6 @@ class Table:
         for r in self.rows:
             if len(r) != len(self.columns):
                 raise ValueError("row width does not match column count")
-
-    def column(self, name):
-        i = self.columns.index(name)
-        return [r[i] for r in self.rows]
 
 
 def _cell(value):
@@ -161,19 +158,17 @@ def monte_carlo_sweep(spec, eps=MC_EPS, knobs=MC_KNOBS, progress=None):
     rows = []
     result = SweepResult(table=None)
     for value in spec.values:
-        if spec.parameter in ("rx_antennas", "num_ris_elements"):
-            point_value = int(round(value))
-        else:
-            point_value = value
-        scn = scenario_with(spec.scenario, **{spec.parameter: point_value})
+        scn = scenario_with(spec.scenario, **{spec.parameter: value})
+        point = getattr(scn.params, spec.parameter)
+        keys = {scheme: (point, scheme) for scheme in spec.schemes}
+        for key in keys.values():
+            result.samples[key] = []
+            result.max_samples[key] = []
+            result.by_trial[key] = {}
+            result.failures[key] = []
         for trial in range(spec.trials):
             shared = ChannelSet(scn, trial)
-            for scheme in spec.schemes:
-                key = (point_value, scheme)
-                result.samples.setdefault(key, [])
-                result.max_samples.setdefault(key, [])
-                result.by_trial.setdefault(key, {})
-                result.failures.setdefault(key, [])
+            for scheme, key in keys.items():
                 try:
                     cs = shared if scheme == "proposed" else None
                     report = _run_scheme(scheme, scn, trial, eps, knobs,
@@ -186,24 +181,17 @@ def monte_carlo_sweep(spec, eps=MC_EPS, knobs=MC_KNOBS, progress=None):
                 per_user = report.per_user_index(scn.params.slot_duration)
                 result.max_samples[key].append(float(per_user.max()))
                 if progress is not None:
-                    progress(point_value, scheme, trial,
-                             report.exposure_index)
-    for value in spec.values:
-        if spec.parameter in ("rx_antennas", "num_ris_elements"):
-            point_value = int(round(value))
-        else:
-            point_value = value
+                    progress(point, scheme, trial, report.exposure_index)
         for scheme in sorted(spec.schemes):
-            key = (point_value, scheme)
-            vals = result.samples[key]
-            fails = len(result.failures[key])
+            vals = result.samples[keys[scheme]]
+            fails = len(result.failures[keys[scheme]])
             if vals:
                 mean = float(np.mean(vals))
                 stderr = (float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
                           if len(vals) > 1 else 0.0)
             else:
                 mean, stderr = float("nan"), float("nan")
-            rows.append((spec.parameter, point_value, scheme, mean, stderr,
+            rows.append((spec.parameter, point, scheme, mean, stderr,
                          len(vals), fails, int(fails > 0.1 * spec.trials)))
     result.table = Table(
         ("parameter", "value", "scheme", "mean_exposure", "stderr",
@@ -233,8 +221,7 @@ def cdf_table(samples):
     return Table(("exposure", "cdf"), exposure_cdf(samples))
 
 
-def trajectory_report(scenario, trial=0, eps=MC_EPS, knobs=MC_KNOBS,
-                      resolution=1.0):
+def trajectory_report(scenario, trial=0, eps=MC_EPS, knobs=MC_KNOBS):
     """Flight paths flown by the three path policies, as one long table.
 
     Columns: scheme, slot, x, y, z.  `optimized` re-plans the path inside
@@ -245,8 +232,7 @@ def trajectory_report(scenario, trial=0, eps=MC_EPS, knobs=MC_KNOBS,
     state, _ = run_ao(scenario, trial=trial, eps=eps, knobs=knobs)
     direct = straight_trajectory(scenario.aris_start, scenario.aris_end,
                                  p.num_slots).points
-    hover_xy = fixed_position_search(scenario, trial=trial,
-                                     resolution=resolution)
+    hover_xy = fixed_position_search(scenario, trial=trial)
     hover = np.array([hover_xy[0], hover_xy[1], p.aris_height])
     fixed = march_path(scenario.aris_start, hover, p.max_slot_distance,
                        p.num_slots)

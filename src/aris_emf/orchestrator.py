@@ -44,6 +44,7 @@ NEUTRAL_BEAM = (1.0, 0.0)  # (alpha2, beta2) of every beam the search has not se
 REL_TOL = 1e-12          # per-RE beam acceptance slack
 CAP_SLACK = 1e-9         # relative slack on per-user power caps
 SLOT_ARRAYS = ("delta", "shares", "powers", "gamma", "sar", "beams", "thetas")
+HOVER_RESOLUTION = 1.0   # meters; the hover-point search stops below this radius
 
 # Path-block budgets during one AO run.  They favor speed on repeated
 # Monte Carlo runs; the per-module defaults (used when calling the path
@@ -529,9 +530,10 @@ def _hover_exposure(scenario, channel_set, position):
     return state.exposure()
 
 
-def fixed_position_search(scenario, trial=0, resolution=1.0, channel_set=None):
+def fixed_position_search(scenario, trial=0, channel_set=None):
     """Divide-and-conquer hover-point search: probe a 3x3 stencil of the
-    current radius, recenter on the best, halve, stop below `resolution`.
+    current radius, recenter on the best, halve, stop below
+    HOVER_RESOLUTION.
     Each distinct point is probed once (stencils overlap, on exact dyadic
     fractions of the radius), its value then remembered."""
     if channel_set is None:
@@ -544,7 +546,7 @@ def fixed_position_search(scenario, trial=0, resolution=1.0, channel_set=None):
     center = np.zeros(2)
     radius = float(scenario.cell_radius)
     best_val = value(*center.tolist())
-    while radius >= resolution:
+    while radius >= HOVER_RESOLUTION:
         moved = False
         for dx in (-radius, 0.0, radius):
             for dy in (-radius, 0.0, radius):
@@ -576,8 +578,7 @@ def march_path(start, target, d_max, num_slots):
     return np.asarray(points)
 
 
-def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
-                       resolution=1.0):
+def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None):
     """Surface hovering at a recursively chosen spot; slots spent flying
     there are charged at the no-surface policy's exposure.
 
@@ -590,7 +591,6 @@ def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
     p = scenario.params
     channel_set = ChannelSet(scenario, trial)
     hover_xy = fixed_position_search(scenario, trial=trial,
-                                     resolution=resolution,
                                      channel_set=channel_set)
     hover = np.array([hover_xy[0], hover_xy[1], p.aris_height])
     path = march_path(scenario.aris_start, hover, p.max_slot_distance,

@@ -5,12 +5,16 @@ appear only at the config-file boundary: in config files `los_pathloss_ref`
 and `nlos_pathloss_ref` are dB power gains at 1 m, `p_max` is dBm,
 `noise_psd` is dBm/Hz, and `rician_factors` is a dB pair. They are
 converted to linear/SI when the file is loaded.
+
+The config schema lives here once: each key's kind comes from its
+`SystemParams` field or from `_EXTRAS`, and its file unit from `_UNITS`;
+loading, saving and the sweep command line all read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -56,63 +60,42 @@ def noise_power(psd_dbm_hz, bandwidth_hz):
 # parameter container
 # ---------------------------------------------------------------------------
 
-# Full-scale defaults (linear/SI already; the dB->linear conversion of the
-# published values happens here, once).
-_DEFAULTS = dict(
-    num_users=8,
-    num_subcarriers=80,
-    num_ris_elements=80,
-    rx_antennas=32,
-    tx_antennas=2,
-    bs_height=25.0,
-    aris_height=100.0,
-    slot_duration=15.0,
-    flight_time=300.0,
-    v_max=25.0,
-    bandwidth_per_re=240e3,
-    los_pathloss_ref=db_to_linear(-24.91),
-    nlos_pathloss_ref=db_to_linear(-19.96),
-    p_max=dbm_to_watts(26.0),
-    noise_psd=dbm_to_watts(-174.0),  # watts/Hz
-    carrier_freq=700e6,
-    direct_pathloss_exp=3.908,
-    rician_factors=(db_to_linear(3.0), db_to_linear(3.0)),
-    ris_pathloss_exps=(2.2, 2.2),
-    antenna_spacing_ratio=0.5,
-)
-
-
 @dataclass(frozen=True)
 class SystemParams:
-    """Static system parameters. All linear/SI units.
+    """Static system parameters, at the published full-scale values. All
+    linear/SI units.
 
+    Each field's annotation is its config kind (`tuple` is a pair), and
+    construction types every value to it, so a count given as 8.0 is 8.
     num_slots must equal flight_time / slot_duration exactly; the maximum
     per-slot displacement v_max * slot_duration is derived, never stored.
     """
 
-    num_users: int = _DEFAULTS["num_users"]
-    num_subcarriers: int = _DEFAULTS["num_subcarriers"]
-    num_ris_elements: int = _DEFAULTS["num_ris_elements"]
-    rx_antennas: int = _DEFAULTS["rx_antennas"]
-    tx_antennas: int = _DEFAULTS["tx_antennas"]
-    bs_height: float = _DEFAULTS["bs_height"]
-    aris_height: float = _DEFAULTS["aris_height"]
-    slot_duration: float = _DEFAULTS["slot_duration"]
-    flight_time: float = _DEFAULTS["flight_time"]
+    num_users: int = 8
+    num_subcarriers: int = 80
+    num_ris_elements: int = 80
+    rx_antennas: int = 32
+    tx_antennas: int = 2
+    bs_height: float = 25.0
+    aris_height: float = 100.0
+    slot_duration: float = 15.0
+    flight_time: float = 300.0
     num_slots: int = 0  # 0: derive from flight_time / slot_duration
-    v_max: float = _DEFAULTS["v_max"]
-    bandwidth_per_re: float = _DEFAULTS["bandwidth_per_re"]
-    los_pathloss_ref: float = _DEFAULTS["los_pathloss_ref"]
-    nlos_pathloss_ref: float = _DEFAULTS["nlos_pathloss_ref"]
-    p_max: float = _DEFAULTS["p_max"]
-    noise_psd: float = _DEFAULTS["noise_psd"]
-    carrier_freq: float = _DEFAULTS["carrier_freq"]
-    direct_pathloss_exp: float = _DEFAULTS["direct_pathloss_exp"]
-    rician_factors: tuple = _DEFAULTS["rician_factors"]
-    ris_pathloss_exps: tuple = _DEFAULTS["ris_pathloss_exps"]
-    antenna_spacing_ratio: float = _DEFAULTS["antenna_spacing_ratio"]
+    v_max: float = 25.0
+    bandwidth_per_re: float = 240e3
+    los_pathloss_ref: float = db_to_linear(-24.91)
+    nlos_pathloss_ref: float = db_to_linear(-19.96)
+    p_max: float = dbm_to_watts(26.0)
+    noise_psd: float = dbm_to_watts(-174.0)  # watts/Hz
+    carrier_freq: float = 700e6
+    direct_pathloss_exp: float = 3.908
+    rician_factors: tuple = (db_to_linear(3.0), db_to_linear(3.0))
+    ris_pathloss_exps: tuple = (2.2, 2.2)
+    antenna_spacing_ratio: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _typed(f.name, getattr(self, f.name)))
         if self.num_slots == 0:
             ratio = self.flight_time / self.slot_duration
             if abs(ratio - round(ratio)) > 1e-9:
@@ -141,10 +124,6 @@ class SystemParams:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"invariant violated: {name} must be positive")
-        object.__setattr__(self, "rician_factors", tuple(float(v) for v in self.rician_factors))
-        object.__setattr__(self, "ris_pathloss_exps", tuple(float(v) for v in self.ris_pathloss_exps))
-        if len(self.rician_factors) != 2 or len(self.ris_pathloss_exps) != 2:
-            raise ValueError("rician_factors and ris_pathloss_exps must be pairs")
 
     @property
     def max_slot_distance(self):
@@ -231,49 +210,85 @@ def _position_rng(seed):
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema and parsing
 # ---------------------------------------------------------------------------
 
-_DEFAULT_CELL_RADIUS = 100.0
-_DEFAULT_SEED = 0
 # per-user targets used in the reference experiments (bits/s)
 _DEFAULT_RATES_8 = (10e6, 9.4e6, 8.5e6, 6.7e6, 4.5e6, 7.6e6, 8.7e6, 3.1e6)
 _DEFAULT_RATE_OTHER = 6e6
-_DEFAULT_ARIS_START = (-80.0, 55.0)
-_DEFAULT_ARIS_END = (100.0, 20.0)
 
-_INT_KEYS = {"num_users", "num_subcarriers", "num_ris_elements", "rx_antennas",
-             "tx_antennas", "num_slots"}
-_FLOAT_KEYS = {"bs_height", "aris_height", "slot_duration", "flight_time",
-               "v_max", "bandwidth_per_re", "carrier_freq",
-               "direct_pathloss_exp", "antenna_spacing_ratio"}
-# keys whose config-file value is in dB/dBm and must be linearized
-_DB_KEYS = {"los_pathloss_ref", "nlos_pathloss_ref"}
-_DBM_KEYS = {"p_max"}
-_PAIR_KEYS = {"rician_factors", "ris_pathloss_exps"}
-_EXTRA_KEYS = {"users.radius", "rates", "aris.start", "aris.end", "seed",
-               "sar.model", "channel.departure_uses_x", "noise_psd"}
+# the config keys that are not SystemParams fields: (kind, default); the
+# None defaults are filled in by scenario_from_options
+_EXTRAS = {
+    "users.radius": ("float", 100.0),
+    "rates": ("list", None),
+    "aris.start": ("list", (-80.0, 55.0)),
+    "aris.end": ("list", (100.0, 20.0)),
+    "seed": ("int", 0),
+    "sar.model": ("str", None),
+    "channel.departure_uses_x": ("bool", False),
+}
 
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _DB_KEYS | _DBM_KEYS | _PAIR_KEYS | _EXTRA_KEYS
+# every config key's kind: int, float, pair, list, str or bool
+_KINDS = {f.name: "pair" if f.type == "tuple" else f.type for f in fields(SystemParams)}
+_KINDS.update((key, kind) for key, (kind, _) in _EXTRAS.items())
+
+# keys whose file value is in dB, dBm or dBm/Hz: (to SI, from SI)
+_DB = (db_to_linear, linear_to_db)
+_DBM = (dbm_to_watts, watts_to_dbm)
+_UNITS = {"los_pathloss_ref": _DB, "nlos_pathloss_ref": _DB, "rician_factors": _DB,
+          "p_max": _DBM, "noise_psd": _DBM}
 
 
 class ConfigError(ValueError):
     """Raised for malformed or invalid configuration files."""
 
 
-def _parse_scalar(text, lineno):
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: expected a number, got {text!r}") from None
+def _typed(key, value):
+    """A number, or numbers, in SI units as `key`'s int, float, pair or list."""
+    kind = _KINDS[key]
+    if kind == "int":
+        v = float(value)
+        if not math.isfinite(v) or abs(v - round(v)) > 1e-12:
+            raise ValueError(f"{key} must be an integer")
+        return int(round(v))
+    if kind == "float":
+        return float(value)
+    value = tuple(float(v) for v in value)
+    if kind == "pair" and len(value) != 2:
+        raise ValueError(f"{key} needs exactly 2 values")
+    return value
 
 
-def _parse_list(text, lineno):
+def _parse_list(text, scalar=False):
+    """The numbers in `text`: one bare number when `scalar`, else a
+    comma-separated list, optionally in [brackets]."""
     body = text.strip()
-    if body.startswith("[") and body.endswith("]"):
+    if not scalar and body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    parts = [p for p in (s.strip() for s in body.split(",")) if p]
-    return [_parse_scalar(p, lineno) for p in parts]
+    parts = [body] if scalar else [p for p in (s.strip() for s in body.split(",")) if p]
+    out = []
+    for part in parts:
+        try:
+            out.append(float(part))
+        except ValueError:
+            raise ValueError(f"expected a number, got {part!r}") from None
+    return out
+
+
+def parse_value(key, text):
+    """A config value's text as `key`'s typed value, converted to SI units."""
+    kind = _KINDS[key]
+    if kind == "str":
+        return text
+    if kind == "bool":
+        low = text.lower()
+        if low not in ("true", "false", "0", "1"):
+            raise ValueError(f"{key} must be true/false")
+        return low in ("true", "1")
+    to_si = _UNITS[key][0] if key in _UNITS else float
+    nums = [to_si(v) for v in _parse_list(text, scalar=kind in ("int", "float"))]
+    return _typed(key, nums if kind in ("pair", "list") else nums[0])
 
 
 def parse_config_text(text):
@@ -290,7 +305,7 @@ def parse_config_text(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KINDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -303,22 +318,15 @@ def parse_config_text(text):
 def scenario_from_options(options):
     """Build a Scenario from already-typed option values (linear/SI units).
 
-    `options` may contain SystemParams field names plus `users.radius`,
-    `rates`, `aris.start`, `aris.end`, `seed`, `sar.model` (a SarModel or a
-    path), and `channel.departure_uses_x`. Missing entries take the
-    full-scale defaults.
+    `options` may contain SystemParams field names plus the keys of
+    `_EXTRAS`; `sar.model` may be a SarModel or a path. Missing entries take
+    the full-scale defaults.
     """
     opts = dict(options)
-    radius = float(opts.pop("users.radius", _DEFAULT_CELL_RADIUS))
-    seed = int(opts.pop("seed", _DEFAULT_SEED))
-    rates = opts.pop("rates", None)
-    start_xy = opts.pop("aris.start", _DEFAULT_ARIS_START)
-    end_xy = opts.pop("aris.end", _DEFAULT_ARIS_END)
-    sar = opts.pop("sar.model", None)
-    dep_x = bool(opts.pop("channel.departure_uses_x", False))
-
+    extra = {key: opts.pop(key, default) for key, (_, default) in _EXTRAS.items()}
     params = SystemParams(**opts)
 
+    rates = extra["rates"]
     if rates is None:
         if params.num_users == 8:
             rates = _DEFAULT_RATES_8
@@ -329,31 +337,34 @@ def scenario_from_options(options):
         raise ConfigError(
             f"rates must list exactly num_users={params.num_users} values, got {rates.size}")
 
+    sar = extra["sar.model"]
     if sar is None:
         sar = default_sar_model()
     elif isinstance(sar, str):
         sar = load_sar_model(sar)
 
-    def _lift(q, name):
-        q = tuple(float(v) for v in np.atleast_1d(q).ravel())
+    def _lift(key):
+        q = tuple(float(v) for v in np.atleast_1d(extra[key]).ravel())
         if len(q) == 2:
             return np.array([q[0], q[1], params.aris_height])
         if len(q) == 3:
             return np.array(q)
-        raise ConfigError(f"{name} must have 2 or 3 coordinates")
+        raise ConfigError(f"{key} must have 2 or 3 coordinates")
 
+    radius = float(extra["users.radius"])
+    seed = int(extra["seed"])
     users = sample_user_positions(_position_rng(seed), radius, params.num_users)
     return Scenario(
         params=params,
         bs_position=np.array([0.0, 0.0, params.bs_height]),
         user_positions=users,
         rate_targets=rates,
-        aris_start=_lift(start_xy, "aris.start"),
-        aris_end=_lift(end_xy, "aris.end"),
+        aris_start=_lift("aris.start"),
+        aris_end=_lift("aris.end"),
         sar_model=sar,
         rng_seed=seed,
         cell_radius=radius,
-        departure_uses_x=dep_x,
+        departure_uses_x=bool(extra["channel.departure_uses_x"]),
     )
 
 
@@ -363,48 +374,11 @@ def load_scenario_text(text, overrides=None):
     `overrides` is an optional mapping of already-typed option values
     (e.g. {"seed": 3}) applied on top of whatever the text sets.
     """
-    raw = parse_config_text(text)
     options = {}
-    for key, (value, lineno) in raw.items():
+    for key, (value, lineno) in parse_config_text(text).items():
         try:
-            if key in _INT_KEYS:
-                v = _parse_scalar(value, lineno)
-                if abs(v - round(v)) > 1e-12:
-                    raise ConfigError(f"line {lineno}: {key} must be an integer")
-                options[key] = int(round(v))
-            elif key in _FLOAT_KEYS:
-                options[key] = _parse_scalar(value, lineno)
-            elif key in _DB_KEYS:
-                options[key] = db_to_linear(_parse_scalar(value, lineno))
-            elif key in _DBM_KEYS:
-                options[key] = dbm_to_watts(_parse_scalar(value, lineno))
-            elif key == "noise_psd":  # dBm/Hz at the boundary
-                options[key] = dbm_to_watts(_parse_scalar(value, lineno))
-            elif key in _PAIR_KEYS:
-                pair = _parse_list(value, lineno)
-                if len(pair) != 2:
-                    raise ConfigError(f"line {lineno}: {key} needs exactly 2 values")
-                if key == "rician_factors":  # dB at the boundary
-                    pair = [db_to_linear(v) for v in pair]
-                options[key] = tuple(pair)
-            elif key == "rates":
-                options[key] = _parse_list(value, lineno)
-            elif key in ("aris.start", "aris.end"):
-                options[key] = tuple(_parse_list(value, lineno))
-            elif key == "users.radius":
-                options[key] = _parse_scalar(value, lineno)
-            elif key == "seed":
-                options[key] = int(_parse_scalar(value, lineno))
-            elif key == "sar.model":
-                options[key] = value
-            elif key == "channel.departure_uses_x":
-                low = value.lower()
-                if low not in ("true", "false", "0", "1"):
-                    raise ConfigError(f"line {lineno}: {key} must be true/false")
-                options[key] = low in ("true", "1")
-        except ConfigError:
-            raise
-        except ValueError as exc:
+            options[key] = parse_value(key, value)
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     if overrides:
         options.update(overrides)
@@ -435,6 +409,19 @@ def _db_preimage(x, from_db, to_db):
     return to_db(x)  # best effort for values outside from_db's image
 
 
+def _format_value(key, value):
+    """The text that `parse_value(key, text)` reads back to `value`."""
+    kind = _KINDS[key]
+    if kind == "int":
+        return str(value)
+    if kind == "bool":
+        return str(value).lower()
+    nums = [_db_preimage(v, *_UNITS[key]) if key in _UNITS else v
+            for v in np.atleast_1d(value)]
+    text = ", ".join(repr(float(v)) for v in nums)
+    return f"[{text}]" if key == "rates" else text
+
+
 def save_scenario(scenario, path):
     """Write a config file that `load_scenario` reads back to an equal Scenario.
 
@@ -442,42 +429,17 @@ def save_scenario(scenario, path):
     and sampling radius are persisted.
     """
     p = scenario.params
-
-    def db(x):
-        return _db_preimage(x, db_to_linear, linear_to_db)
-
-    def dbm(x):
-        return _db_preimage(x, dbm_to_watts, watts_to_dbm)
-    lines = [
-        f"num_users = {p.num_users}",
-        f"num_subcarriers = {p.num_subcarriers}",
-        f"num_ris_elements = {p.num_ris_elements}",
-        f"rx_antennas = {p.rx_antennas}",
-        f"tx_antennas = {p.tx_antennas}",
-        f"bs_height = {p.bs_height!r}",
-        f"aris_height = {p.aris_height!r}",
-        f"slot_duration = {p.slot_duration!r}",
-        f"flight_time = {p.flight_time!r}",
-        f"v_max = {p.v_max!r}",
-        f"bandwidth_per_re = {p.bandwidth_per_re!r}",
-        f"los_pathloss_ref = {db(p.los_pathloss_ref)!r}",
-        f"nlos_pathloss_ref = {db(p.nlos_pathloss_ref)!r}",
-        f"p_max = {dbm(p.p_max)!r}",
-        f"noise_psd = {dbm(p.noise_psd)!r}",
-        f"carrier_freq = {p.carrier_freq!r}",
-        f"direct_pathloss_exp = {p.direct_pathloss_exp!r}",
-        f"rician_factors = {db(p.rician_factors[0])!r}, {db(p.rician_factors[1])!r}",
-        f"ris_pathloss_exps = {p.ris_pathloss_exps[0]!r}, {p.ris_pathloss_exps[1]!r}",
-        f"antenna_spacing_ratio = {p.antenna_spacing_ratio!r}",
-        f"users.radius = {scenario.cell_radius!r}",
-        "rates = [" + ", ".join(repr(float(r)) for r in scenario.rate_targets) + "]",
-        "aris.start = " + ", ".join(repr(float(v)) for v in scenario.aris_start),
-        "aris.end = " + ", ".join(repr(float(v)) for v in scenario.aris_end),
-        f"seed = {scenario.rng_seed}",
-        f"channel.departure_uses_x = {str(scenario.departure_uses_x).lower()}",
-    ]
+    values = {f.name: getattr(p, f.name) for f in fields(p) if f.name != "num_slots"}
+    values.update({
+        "users.radius": scenario.cell_radius,
+        "rates": scenario.rate_targets,
+        "aris.start": scenario.aris_start,
+        "aris.end": scenario.aris_end,
+        "seed": scenario.rng_seed,
+        "channel.departure_uses_x": scenario.departure_uses_x,
+    })
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"{key} = {_format_value(key, v)}\n" for key, v in values.items()))
 
 
 def desk_scenario(seed=7, **overrides):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aris_emf.exposure import (ExposureReport, InfeasibleError, SarModel,
+from aris_emf.exposure import (InfeasibleError, SarModel,
                                default_sar_model, exposure_index,
                                load_sar_model, reference_sar)
 from aris_emf.exposure import _sar_floor
@@ -217,13 +217,3 @@ def test_sar_vs_lobe_angle_sweep_shape():
     assert vals.shape == (181,)
     assert np.all(vals > 0)
     assert np.ptp(vals) > 0  # the default model is angle-sensitive
-
-
-def test_exposure_report_consistency():
-    e = np.array([[1.0, 2.0], [3.0, 4.0]]) * 1e-4
-    idx = exposure_index(e, 15.0)
-    rep = ExposureReport(e, idx, np.array([1e6, 2e6]), "proposed")
-    assert rep.check(15.0)
-    bad = ExposureReport(e, idx * 1.5, np.array([1e6, 2e6]), "proposed")
-    with pytest.raises(ValueError):
-        bad.check(15.0)
