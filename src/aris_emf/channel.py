@@ -5,6 +5,8 @@ surface -> base station (Rician, M_r x N), and the direct user -> BS link
 (Rayleigh, M_r x M_t). Small-scale fading is redrawn independently per slot
 and per resource element from seeded streams keyed by
 (trial, slot, subcarrier, link), so any matrix can be regenerated exactly.
+A realization at a flight path keeps only geometry; its Rician mixtures are
+formed for the entries an index selects, one slot's links in the AO.
 
 The LoS steering angles follow the geometry convention of the reference
 model: the user->surface link uses the y-displacement over distance for both
@@ -105,18 +107,45 @@ def channel_gain(h_eff, beams):
 # per-trial channel workspace
 # ---------------------------------------------------------------------------
 
+class RicianMixture:
+    """Rician mixture a los + b nlos, formed only for the entries an index of
+    integers, slices and integer arrays selects, with the bits of a whole-array
+    mix.  a_los is (N_T, 1, ...): a slot's LoS serves all its subcarriers."""
+
+    def __init__(self, a_los, b, nlos):
+        self._los, self._b, self._nlos = a_los, b, nlos
+        self.shape, self.size = nlos.shape, nlos.size
+
+    def __getitem__(self, key):
+        key = key if isinstance(key, tuple) else (key,)
+        k0, k1 = (key + (slice(None), slice(None)))[:2]
+        if k0 is None or k0 is Ellipsis or k1 is None or k1 is Ellipsis:
+            raise IndexError("a Rician mixture takes integers, slices and integer arrays")
+        # los has one subcarrier: an index of the key's layout broadcasts it
+        k1 = (slice(None) if isinstance(k1, slice) else
+              np.zeros((1,) * np.ndim(k1), int) if isinstance(k0, slice) else 0)
+        out = self._b * self._nlos[key]    # a fresh array, never a view of the draws
+        out += self._los[(k0, k1) + key[2:]]
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a Rician mixture is formed on demand: it needs a copy")
+        return self[()] if dtype is None else self[()].astype(dtype, copy=False)
+
+
 @dataclass
 class ChannelRealization:
     """All channels of one trial realized at a specific trajectory.
 
-    gbar[l, n, u] and hbar[l, n] are unit-scale Rician mixtures; the full
-    channels are sqrt(rho) * d^(-exp/2) times those (see g_scale/h_scale).
+    gbar[l, n, u] and hbar[l, n] are unit-scale Rician mixtures, formed on demand
+    (RicianMixture); the full channels are sqrt(rho) * d^(-exp/2) times those.
     hd[l, n, u] is the full direct channel (trajectory-independent).
     """
 
     trajectory: np.ndarray       # (N_T, 3)
-    gbar: np.ndarray             # (N_T, N_c, U, N, M_t) or empty when N = 0
-    hbar: np.ndarray             # (N_T, N_c, M_r, N)
+    gbar: RicianMixture          # (N_T, N_c, U, N, M_t)
+    hbar: RicianMixture          # (N_T, N_c, M_r, N)
     hd: np.ndarray               # (N_T, N_c, U, M_r, M_t)
     d_ur: np.ndarray             # (N_T, U)
     d_rb: np.ndarray             # (N_T,)
@@ -162,7 +191,9 @@ class ChannelRealization:
         scale = self.h_scale[ell] * self.g_scale[ell, u]
         f = np.asarray(f)[..., None]
         g_f = (self.gbar[ell, n, u] @ f)[..., 0]                      # (..., N)
-        hdg = scale[..., None, None] * (self.hbar[ell, n] * g_f[..., None, :])
+        hdg = self.hbar[ell, n]
+        hdg *= g_f[..., None, :]
+        hdg *= scale[..., None, None]
         return hdg, (self.hd[ell, n, u] @ f)[..., 0]
 
 
@@ -184,31 +215,28 @@ class ChannelSet:
 
         self._wg = np.zeros((nt, nc, u, n, mt), dtype=complex)
         self._wh = np.zeros((nt, nc, mr, n), dtype=complex)
-        whd = np.zeros((nt, nc, u, mr, mt), dtype=complex)
+        self._hd = np.zeros((nt, nc, u, mr, mt), dtype=complex)
         # streams fill (re, im) pairs in place; one division sets E|x|^2 = 1
         for ell in range(nt):
             for sub in range(nc):
-                for link, arr in ((LINK_G, self._wg), (LINK_H, self._wh), (LINK_HD, whd)):
+                for link, arr in ((LINK_G, self._wg), (LINK_H, self._wh), (LINK_HD, self._hd)):
                     if arr.size:
                         rng_stream(seed, self.trial, ell, sub, link).standard_normal(
                             out=arr[ell, sub].view(float))
-        for arr in (self._wg, self._wh, whd):
+        for arr in (self._wg, self._wh, self._hd):
             arr /= math.sqrt(2.0)
 
         # the direct link never moves: realize it once
         d_ub = np.linalg.norm(scenario.user_positions - scenario.bs_position[None, :], axis=1)
         dscale = np.sqrt(p.nlos_pathloss_ref * d_ub ** (-p.direct_pathloss_exp))
-        self._hd = whd * dscale[None, None, :, None, None]
-        self._d_ub = d_ub
+        self._hd *= dscale[None, None, :, None, None]
 
     def realize(self, trajectory):
         """Channels at the given (N_T, 3) trajectory, reusing the stored fading."""
         sc = self.scenario
         p = sc.params
         q = np.asarray(trajectory, dtype=float).reshape(p.num_slots, 3)
-        users = sc.user_positions
-
-        diff = users[None, :, :] - q[:, None, :]            # (N_T, U, 3)
+        diff = sc.user_positions[None, :, :] - q[:, None, :]   # (N_T, U, 3)
         d_ur = np.linalg.norm(diff, axis=2)
         if np.any(d_ur <= 0):
             raise ValueError("degenerate geometry: platform touches a user position")
@@ -216,33 +244,22 @@ class ChannelSet:
         if np.any(d_rb <= 0):
             raise ValueError("degenerate geometry: platform touches the BS position")
 
-        if p.num_ris_elements == 0:
-            gbar = np.zeros((p.num_slots, p.num_subcarriers, p.num_users, 0, p.tx_antennas),
-                            dtype=complex)
-            hbar = np.zeros((p.num_slots, p.num_subcarriers, p.rx_antennas, 0), dtype=complex)
-            return ChannelRealization(q, gbar, hbar, self._hd, d_ur, d_rb,
-                                      p.los_pathloss_ref, *p.ris_pathloss_exps)
+        def steer(m, sines):    # (..., m) ULA steering vectors at the given sines
+            return np.exp(-1j * TWO_PI * p.antenna_spacing_ratio * np.arange(m) * sines[..., None])
 
-        spacing = p.antenna_spacing_ratio
         sin_ur = diff[:, :, 1] / d_ur                       # (N_T, U)
         sin_ud = diff[:, :, 0] / d_ur if sc.departure_uses_x else sin_ur
-        ar_n = np.exp(-1j * TWO_PI * spacing
-                      * np.arange(p.num_ris_elements)[None, None, :] * sin_ur[:, :, None])
-        at_m = np.exp(-1j * TWO_PI * spacing
-                      * np.arange(p.tx_antennas)[None, None, :] * sin_ud[:, :, None])
+        ar_n, at_m = steer(p.num_ris_elements, sin_ur), steer(p.tx_antennas, sin_ud)
         los_g = ar_n[:, :, :, None] * at_m.conj()[:, :, None, :]   # (N_T, U, N, M_t)
 
         sin_rb = (sc.bs_position[0] - q[:, 0]) / d_rb
-        ar_mr = np.exp(-1j * TWO_PI * spacing
-                       * np.arange(p.rx_antennas)[None, :] * sin_rb[:, None])
-        ad_n = np.exp(-1j * TWO_PI * spacing
-                      * np.arange(p.num_ris_elements)[None, :] * sin_rb[:, None])
+        ar_mr, ad_n = steer(p.rx_antennas, sin_rb), steer(p.num_ris_elements, sin_rb)
         los_h = ar_mr[:, :, None] * ad_n.conj()[:, None, :]        # (N_T, M_r, N)
 
         k1, k2 = p.rician_factors
-        gbar = (math.sqrt(k1 / (k1 + 1.0)) * los_g[:, None]
-                + math.sqrt(1.0 / (k1 + 1.0)) * self._wg)
-        hbar = (math.sqrt(k2 / (k2 + 1.0)) * los_h[:, None]
-                + math.sqrt(1.0 / (k2 + 1.0)) * self._wh)
+        gbar = RicianMixture(math.sqrt(k1 / (k1 + 1.0)) * los_g[:, None],
+                             math.sqrt(1.0 / (k1 + 1.0)), self._wg)
+        hbar = RicianMixture(math.sqrt(k2 / (k2 + 1.0)) * los_h[:, None],
+                             math.sqrt(1.0 / (k2 + 1.0)), self._wh)
         return ChannelRealization(q, gbar, hbar, self._hd, d_ur, d_rb,
                                   p.los_pathloss_ref, *p.ris_pathloss_exps)

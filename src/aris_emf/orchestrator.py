@@ -98,7 +98,7 @@ class SolutionState:
     trace: list = field(default_factory=list)
     counters: dict = field(default_factory=lambda: {"phase_calls": 0,
                                                     "sca_iters": 0,
-                                                    "dinkelbach_calls": 0})
+                                                    "beam_links": 0})
 
     def per_user_exposure(self):
         """(U, N_T) per-slot exposure sums."""
@@ -250,7 +250,7 @@ def _block_beams(state, check_caps):
             found[k], _ = optimize_beamformer(k_mat[k], sc.sar_model, consts)
         except InfeasibleError:
             usable[ell] = False
-    state.counters["dinkelbach_calls"] += int(usable[l].sum())
+    state.counters["beam_links"] += int(usable[l].sum())
     new_gain = channel_gain(h_eff, found)
     new_sar = _sar_of(found, sc.sar_model)
     pf = power_factor(rbar, p.noise_per_re, p.bandwidth_per_re)
@@ -370,7 +370,8 @@ def _block_trajectory(state, phase_rngs, tune_phases):
 
     Moving the platform rotates every line-of-sight direction, so beams and
     phases tuned for the old geometry misalign at the new one.  The
-    candidate therefore re-realizes the channels at the moved path and
+    candidate therefore re-realizes the channels at the moved path (new
+    geometry only: the fading draws stay shared with the incumbent) and
     re-runs the slot sweep before it is scored against the incumbent;
     acceptance stays a pure exposure comparison in the caller.  Pinned
     phases stay pinned across moves.

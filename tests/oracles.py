@@ -1,14 +1,18 @@
 """Reference helpers the tests share and the package does not need.
 
-`fingerprint` confirms that paired trials share fading; `min_power_for_rate`
-and `solve_multipliers` state the single-link power inversion and one user's
+`fingerprint` confirms that paired trials share fading; `dense_mixtures`
+forms a realization's Rician mixtures for the whole trial at once, as the
+lazy ones must reproduce bit for bit; `min_power_for_rate` and
+`solve_multipliers` state the single-link power inversion and one user's
 power multipliers as the tests check them against the power block.
 """
 
 import hashlib
+import math
 
 import numpy as np
 
+from aris_emf.channel import TWO_PI
 from aris_emf.exposure import InfeasibleError, power_factor
 from aris_emf.power_control import _solve
 
@@ -19,6 +23,38 @@ def fingerprint(channel_set):
     for arr in (channel_set._wg, channel_set._wh, channel_set._hd):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
+
+
+def dense_mixtures(channel_set, trajectory):
+    """(gbar, hbar) of shapes (N_T, N_c, U, N, M_t) and (N_T, N_c, M_r, N):
+    the unit-scale Rician mixtures of every slot and subcarrier at the given
+    (N_T, 3) trajectory, each mixed as a los + b w over the whole array."""
+    sc = channel_set.scenario
+    p = sc.params
+    q = np.asarray(trajectory, dtype=float).reshape(p.num_slots, 3)
+    diff = sc.user_positions[None, :, :] - q[:, None, :]
+    d_ur = np.linalg.norm(diff, axis=2)
+    d_rb = np.linalg.norm(q - sc.bs_position[None, :], axis=1)
+    spacing = p.antenna_spacing_ratio
+    sin_ur = diff[:, :, 1] / d_ur
+    sin_ud = diff[:, :, 0] / d_ur if sc.departure_uses_x else sin_ur
+    ar_n = np.exp(-1j * TWO_PI * spacing
+                  * np.arange(p.num_ris_elements)[None, None, :] * sin_ur[:, :, None])
+    at_m = np.exp(-1j * TWO_PI * spacing
+                  * np.arange(p.tx_antennas)[None, None, :] * sin_ud[:, :, None])
+    los_g = ar_n[:, :, :, None] * at_m.conj()[:, :, None, :]
+    sin_rb = (sc.bs_position[0] - q[:, 0]) / d_rb
+    ar_mr = np.exp(-1j * TWO_PI * spacing
+                   * np.arange(p.rx_antennas)[None, :] * sin_rb[:, None])
+    ad_n = np.exp(-1j * TWO_PI * spacing
+                  * np.arange(p.num_ris_elements)[None, :] * sin_rb[:, None])
+    los_h = ar_mr[:, :, None] * ad_n.conj()[:, None, :]
+    k1, k2 = p.rician_factors
+    gbar = (math.sqrt(k1 / (k1 + 1.0)) * los_g[:, None]
+            + math.sqrt(1.0 / (k1 + 1.0)) * channel_set._wg)
+    hbar = (math.sqrt(k2 / (k2 + 1.0)) * los_h[:, None]
+            + math.sqrt(1.0 / (k2 + 1.0)) * channel_set._wh)
+    return gbar, hbar
 
 
 def min_power_for_rate(rbar, gamma, sigma2, w):

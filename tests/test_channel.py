@@ -1,6 +1,8 @@
 """Channel synthesis, effective channels, and the beamforming gain."""
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from aris_emf.channel import (TWO_PI, Beamformer, ChannelSet, beam_array,
                               beam_vector, channel_gain, gram, rng_stream)
-from aris_emf.scenario import desk_scenario, scenario_from_options
-from oracles import fingerprint
+from aris_emf.orchestrator import run_ao
+from aris_emf.scenario import desk_scenario, load_scenario, scenario_from_options
+from oracles import dense_mixtures, fingerprint
+
+FULL_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "full.cfg")
 
 
 # Per-link reference model: one draw of each channel at a given geometry,
@@ -375,6 +380,73 @@ def test_channel_set_same_fading_across_trajectories():
     # direct link identical; cascade links differ only through geometry
     assert np.array_equal(ra.hd, rb.hd)
     assert not np.allclose(ra.gbar, rb.gbar)
+
+
+@pytest.mark.parametrize("num_ris_elements", [16, 0])
+def test_lazy_mixtures_match_the_dense_mix_bit_for_bit(num_ris_elements):
+    sc = desk_scenario(num_ris_elements=num_ris_elements)
+    p = sc.params
+    cs = ChannelSet(sc, trial=2)
+    q = np.linspace(sc.aris_start, sc.aris_end, p.num_slots)
+    q[3, 0] += 30.0
+    real = cs.realize(q)
+    gbar, hbar = dense_mixtures(cs, q)
+    drawn = fingerprint(cs)
+    ell = np.array([0, 2, 2, 4])
+    n = np.array([0, 3, 3, p.num_subcarriers - 1])
+    u = np.array([1, 0, 2, 1])
+    common = [(2,), (2, 5), (2, n), (ell, n), (ell, slice(None)), (slice(1, 4), slice(2, 6)),
+              (slice(None), 3), (slice(None), n), (ell[:, None], n[None, :]), ()]
+    g_keys = common + [(2, 5, 1), (2, n, u), (ell, n, u), (ell, slice(1, 3), u),
+                       (slice(None), n, u)]
+    h_keys = common + [(2, 5, 3), (ell, n, slice(None, None, 2))]
+    if num_ris_elements:
+        g_keys.append((2, 5, 1, 7, 1))
+        h_keys.append((2, 5, 3, 7))
+    for dense, lazy, keys in ((gbar, real.gbar, g_keys), (hbar, real.hbar, h_keys)):
+        assert lazy.shape == dense.shape and lazy.size == dense.size
+        for key in keys:
+            assert np.array_equal(lazy[key], dense[key]), key
+        assert np.array_equal(np.asarray(lazy), dense)
+    # reading scalar entries must not write into the stored draws
+    assert fingerprint(cs) == drawn
+    for key in ((Ellipsis, 0), (2, None)):
+        with pytest.raises(IndexError):
+            real.gbar[key]
+
+
+def test_mixture_as_array_honours_dtype_and_copy():
+    sc = desk_scenario()
+    cs = ChannelSet(sc, trial=0)
+    q = np.linspace(sc.aris_start, sc.aris_end, sc.params.num_slots)
+    real = cs.realize(q)
+    _, hbar = dense_mixtures(cs, q)
+    single = np.asarray(real.hbar, dtype=np.complex64)
+    assert single.dtype == np.complex64
+    assert np.array_equal(single, hbar.astype(np.complex64))
+    assert np.array_equal(np.array(real.hbar, copy=True), hbar)
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        with pytest.raises(ValueError):
+            np.asarray(real.hbar, copy=False)
+
+
+def test_full_scale_channels_and_solve_stay_small_in_memory():
+    # traced numpy allocations above the ChannelSet's draws; tracemalloc
+    # counts them deterministically where the resident set size does not
+    sc = load_scenario(FULL_CFG)
+    cs = ChannelSet(sc, trial=0)
+    q = np.linspace(sc.aris_start, sc.aris_end, sc.params.num_slots)
+    tracemalloc.start()
+    try:
+        cs.realize(q)
+        realize_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run_ao(sc, trial=0, max_outer=1, enable_trajectory=False, channel_set=cs)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert realize_peak < 8e6
+    assert solve_peak < 48e6
 
 
 def test_rng_streams_reproducible_and_distinct():

@@ -167,7 +167,7 @@ def test_audit_passes_on_final_state():
 def test_counters_track_inner_solver_work():
     sc = desk_scenario()
     state, _ = run_ao(sc, trial=0, eps=1e-2, knobs=FAST)
-    assert state.counters["dinkelbach_calls"] > 0
+    assert state.counters["beam_links"] > 0
     assert state.counters["phase_calls"] > 0
     assert state.counters["sca_iters"] > 0
 
