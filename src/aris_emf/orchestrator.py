@@ -18,8 +18,8 @@ slot, which is exact since no block writes a slot's rows before its turn.
 Throughout, each assigned resource element carries a fixed rate share, and
 its transmit power is pinned to rate equality (p = power_factor / gain);
 the power sub-block is the one place where shares themselves are
-re-balanced (water-filling).  Rate targets therefore hold exactly after
-every accepted block.
+re-balanced, by one water-filling call per slot over all its users.  Rate
+targets therefore hold exactly after every accepted block.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ HOVER_RESOLUTION = 1.0   # meters; the hover-point search stops below this radiu
 TRAJ_X_ROUNDS = 1
 TRAJ_SCA_ITERS = 1
 TRAJ_BARRIER_TOL = 1e-4
-TRAJ_EPS5 = 1e-4
 
 
 @dataclass
@@ -292,29 +291,16 @@ def _block_phases(state, ell, rng, check_caps):
 
 
 def _block_power(state, ell):
-    """Water-filling across each user's elements; returns candidates or None."""
-    sc = state.scenario
-    p = sc.params
-    powers = np.zeros_like(state.powers[ell])
-    shares = np.zeros_like(state.shares[ell])
-    delta = state.delta[ell].copy()
-    for u in range(p.num_users):
-        row = delta[u]
-        if not np.any(row > 0):
-            raise InfeasibleError(f"user {u} holds no resource element in slot {ell}")
-        try:
-            alloc, rbar = allocate_power(row, state.gamma[ell, u],
-                                         state.sar[ell, u],
-                                         float(sc.rate_targets[u]), p.p_max,
-                                         p.noise_per_re, p.bandwidth_per_re,
-                                         user=u)
-        except (InfeasibleError, ArithmeticError):
-            return None
-        powers[u] = alloc.powers
-        shares[u] = rbar
-        dropped = (row > 0) & (alloc.powers <= 0)
-        delta[u, dropped] = 0.0
-    return delta, shares, powers
+    """Water-filling for every user of slot ell in one call: candidate
+    (delta, shares, powers) without the elements left dark, or None."""
+    p = state.scenario.params
+    try:
+        alloc, shares = allocate_power(state.delta[ell], state.gamma[ell], state.sar[ell],
+                                       state.scenario.rate_targets, p.p_max,
+                                       p.noise_per_re, p.bandwidth_per_re)
+    except (InfeasibleError, ArithmeticError):
+        return None
+    return np.where(alloc.powers > 0, state.delta[ell], 0.0), shares, alloc.powers
 
 
 def _sweep_slots(state, phase_rngs, tune_phases, current, check_caps):
@@ -384,7 +370,7 @@ def _block_trajectory(state, phase_rngs, tune_phases):
     history = []
     new_traj = optimize_trajectory(
         state.trajectory, field_, sc.user_positions, sc.bs_position,
-        p.max_slot_distance, eps5=TRAJ_EPS5, max_x_rounds=TRAJ_X_ROUNDS,
+        p.max_slot_distance, max_x_rounds=TRAJ_X_ROUNDS,
         max_sca_iters=TRAJ_SCA_ITERS, barrier_tol=TRAJ_BARRIER_TOL,
         history=history)
     state.counters["sca_iters"] += max(len(history) - 1, 0)

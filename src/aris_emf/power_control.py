@@ -12,13 +12,15 @@ multiplier, snr_n = gamma_n / sigma2 and t_n = (SAR_n + lam) / snr_n the
 element's threshold.  The rate floor always binds, so for a fixed lam the
 level is exact (Palomar & Fonollosa, IEEE TSP 2005): with the k smallest
 thresholds active, log2 nu = (rate/w + sum_{i<=k} log2 t_i) / k, and the
-active count is the largest k whose level reaches its own threshold.
+active count is the largest k whose level reaches its own threshold.  A
+slot's users are solved as rows at once: an element a row does not use gets
+threshold +inf, which sorts last and never becomes active.
 
 That one formula is used three times.  Thresholds 1/snr give the least
 spend that meets the rate (the lam -> inf limit); above p_max the user is
-infeasible.  lam = 0 gives the optimum when the cap is slack.  When it binds,
-a bisection over lam finds where the spend meets p_max: the spend at rate
-equality is non-increasing in lam, a Pareto-scalarization fact.
+infeasible.  lam = 0 gives the optimum when the cap is slack.  On the rows
+where it binds, a bisection over lam finds where the spend meets p_max: the
+spend at rate equality is non-increasing in lam, a Pareto-scalarization fact.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """One user's per-element powers and the multipliers that produced them."""
+    """Powers, (N_c,) or (U, N_c), and the multipliers, floats or (U,)."""
 
     powers: np.ndarray
     mu: float
@@ -46,107 +48,106 @@ class PowerAllocation:
         p = np.asarray(self.powers, dtype=float)
         if np.any(p < 0):
             raise ValueError("negative transmit power")
-        if self.mu < 0 or self.lam < 0:
+        if np.min(self.mu) < 0 or np.min(self.lam) < 0:
             raise ValueError("multipliers must be non-negative")
         p.setflags(write=False)
         object.__setattr__(self, "powers", p)
 
     @property
     def total(self):
-        return float(self.powers.sum())
+        return self.powers.sum(axis=-1)
+
+
+def _users(rows):
+    """'user i' for each row index (i,); a lone row's index () is 'user'."""
+    return ", ".join("user" + "".join(f" {i}" for i in row) for row in rows)
 
 
 def _waterfill(thresholds, snr_per_watt, target):
-    """Exact water level for thresholds t_n and a rate target in units of w.
+    """Exact water levels for rows of thresholds t_n and targets in units of w.
 
-    Returns (log2 nu, powers).  Levels are offsets from the smallest log2 t,
-    so the excess bits x_n = log2(nu / t_n) of a tiny target are not the
-    difference of two large logarithms, and p_n = (2^x_n - 1) / snr_n is
+    Returns (log2 nu, powers).  Levels are offsets from the row's smallest
+    log2 t, so the excess bits x_n = log2(nu / t_n) of a tiny target are not
+    the difference of two large logarithms, and p_n = (2^x_n - 1) / snr_n is
     formed with expm1.
     """
     log_t = np.log2(thresholds)
-    base = float(log_t.min())
+    base = log_t.min(axis=-1, keepdims=True)
     offsets = log_t - base
-    ordered = np.sort(offsets)
-    levels = (target + np.cumsum(ordered)) / np.arange(1, ordered.size + 1)
-    level = levels[np.flatnonzero(levels >= ordered)[-1]]
+    ordered = np.sort(offsets, axis=-1)
+    levels = (target[..., None] + np.cumsum(ordered, axis=-1)) / np.arange(1, ordered.shape[-1] + 1)
+    # the unused tail has inf >= inf, so only finite thresholds may count
+    reached = np.isfinite(ordered) & (levels >= ordered)
+    last = ordered.shape[-1] - 1 - np.argmax(reached[..., ::-1], axis=-1, keepdims=True)
+    level = np.take_along_axis(levels, last, axis=-1)
     excess = np.maximum(level - offsets, 0.0)
-    return base + float(level), np.expm1(LN2 * excess) / snr_per_watt
+    return (base + level)[..., 0], np.expm1(LN2 * excess) / snr_per_watt
 
 
 def _solve(gamma, sar, rate_target, p_max, sigma2, w):
-    """(mu, lam, powers) of one user's exposure-minimal power problem."""
-    gamma = np.asarray(gamma, dtype=float)
-    sar = np.asarray(sar, dtype=float)
-    if gamma.size == 0:
-        raise InfeasibleError("no resource elements to carry a positive rate")
-    if np.any(gamma <= 0):
-        raise InfeasibleError("zero channel gain on an assigned resource element")
-    if np.any(sar <= 0):
+    """(mu, lam, powers) of the exposure-minimal power problem of each row.
+
+    gamma/sar: (..., N_c) gains and reference exposures, where a zero gain
+    marks an element the row does not use; rate_target: (...) positive.
+    """
+    used = gamma > 0
+    if np.any(sar[used] <= 0):
         raise ValueError("reference exposure must be positive")
-    snr_per_watt = gamma / sigma2
-    target = rate_target / w
-    if target <= 0:
-        return 0.0, 0.0, np.zeros(gamma.size)
+    if not np.all(used.any(axis=-1)):
+        raise InfeasibleError(f"{_users(np.argwhere(~used.any(axis=-1)))}: "
+                              "no resource elements to carry a positive rate")
+    snr_per_watt = np.where(used, gamma / sigma2, 1.0)
+    target = np.asarray(rate_target, dtype=float) / w
 
-    def fill(lam):
-        return _waterfill((sar + lam) / snr_per_watt, snr_per_watt, target)
+    def fill(weight, row=...):
+        thresholds = np.where(used[row], weight / snr_per_watt[row], np.inf)
+        return _waterfill(thresholds, snr_per_watt[row], target[row])
 
-    least = _waterfill(1.0 / snr_per_watt, snr_per_watt, target)[1].sum()
-    if least > p_max:
-        raise InfeasibleError(
-            f"rate target {rate_target:.6g} bit/s exceeds the {p_max:.3g} W budget")
+    over = fill(np.ones_like(sar))[1].sum(axis=-1) > p_max
+    if np.any(over):
+        raise InfeasibleError(f"{_users(np.argwhere(over))}: rate target exceeds "
+                              f"the {p_max:.3g} W budget")
 
-    lam = 0.0
-    log_nu, p = fill(lam)
-    if p.sum() > p_max * (1.0 + 1e-12):
+    log_nu, p = fill(sar)
+    lam = np.zeros(target.shape)
+    for row in map(tuple, np.argwhere(p.sum(axis=-1) > p_max * (1.0 + 1e-12))):
         def excess_spend(lam_x):
-            return float(fill(lam_x)[1].sum()) - p_max
+            # summed over the used elements alone, as a row of its own would be
+            return float(fill(sar[row] + lam_x, row)[1][used[row]].sum()) - p_max
 
-        lam_hi = float(sar.mean())
+        lam_hi = float(sar[row][used[row]].mean())
         while excess_spend(lam_hi) > 0:
             lam_hi *= 2.0
-            if lam_hi > 1e18 * sar.mean():
-                raise InfeasibleError("power cap is attainable only in the limit; "
-                                      "rate target sits on the feasibility boundary")
-        lam = bisect(excess_spend, 0.0, lam_hi, tol=1e-15)
-        log_nu, p = fill(lam)
+            if lam_hi > 1e18 * sar[row][used[row]].mean():
+                raise InfeasibleError(f"{_users([row])}: power cap is attainable "
+                                      "only in the limit")
+        lam[row] = bisect(excess_spend, 0.0, lam_hi, tol=1e-15)
+        log_nu[row], p[row] = fill(sar[row] + lam[row], row)
     return 2.0 ** log_nu * LN2 / w, lam, p
 
 
-def allocate_power(delta_row, gamma_row, sar_row, rate_target, p_max, sigma2, w,
-                   user=None):
-    """Powers and per-element rate shares for one user across one slot.
+def allocate_power(delta, gamma, sar, rate_target, p_max, sigma2, w):
+    """Powers and per-element rate shares across one slot.
 
-    delta_row/gamma_row/sar_row: (N_c,) allocation mask, gains, and reference
-    exposures.  Returns (PowerAllocation, rbar_row) with rbar the per-element
-    rate shares summing to rate_target.
+    delta/gamma/sar: one user's (N_c,) allocation mask, gains and reference
+    exposures with a scalar rate_target, or a slot's (U, N_c) rows with (U,)
+    targets.  Returns (PowerAllocation, shares) with shares the per-element
+    rates, each row summing to its target.  Errors name the failing rows.
     """
-    delta_row = np.asarray(delta_row, dtype=float)
-    gamma_row = np.asarray(gamma_row, dtype=float)
-    sar_row = np.asarray(sar_row, dtype=float)
-    n_res = delta_row.size
-    label = f"user {user}" if user is not None else "user"
-    powers = np.zeros(n_res)
-    shares = np.zeros(n_res)
-    if rate_target <= 0:
-        return PowerAllocation(powers, 0.0, 0.0), shares
+    delta, gamma, sar, target = (np.asarray(a, dtype=float)
+                                 for a in (delta, gamma, sar, rate_target))
+    mu, lam, powers = np.zeros(target.shape), np.zeros(target.shape), np.zeros(gamma.shape)
+    # rows without a positive target keep zero power; errors index the rest
+    live = ... if np.all(target > 0) else target > 0
+    mu[live], lam[live], powers[live] = _solve(
+        np.where(delta[live] > 0, gamma[live], 0.0), sar[live], target[live],
+        p_max, sigma2, w)
+    shares = w * np.log1p(powers * (gamma / sigma2)) / LN2
 
-    usable = (delta_row > 0) & (gamma_row > 0)
-    if not np.any(usable):
-        raise InfeasibleError(f"{label} has no usable resource element "
-                              f"for a {rate_target:.6g} bit/s target")
-    try:
-        mu, lam, p = _solve(gamma_row[usable], sar_row[usable],
-                            rate_target, p_max, sigma2, w)
-    except InfeasibleError as exc:
-        raise InfeasibleError(f"{label}: {exc}") from None
-    powers[usable] = p
-    shares[usable] = w * np.log1p(p * (gamma_row[usable] / sigma2)) / LN2
-
-    achieved = float(shares.sum())
-    if achieved < rate_target * (1.0 - 1e-6) or powers.sum() > p_max * (1.0 + 1e-9):
-        raise ArithmeticError(
-            f"multiplier solve left {label} at {achieved:.6g} of "
-            f"{rate_target:.6g} bit/s with {powers.sum():.3g} W spent")
-    return PowerAllocation(powers, mu, lam), shares
+    short = ((shares.sum(axis=-1) < target * (1.0 - 1e-6))
+             | (powers.sum(axis=-1) > p_max * (1.0 + 1e-9)))
+    if np.any(short):
+        raise ArithmeticError(f"multiplier solve left {_users(np.argwhere(short))} short of "
+                              f"its rate target or over the {p_max:.3g} W cap")
+    # [()] turns one user's 0-d multipliers into floats and leaves rows as they are
+    return PowerAllocation(powers, mu[()], lam[()]), shares

@@ -426,8 +426,11 @@ def save_scenario(scenario, path):
     """Write a config file that `load_scenario` reads back to an equal Scenario.
 
     Positions are regenerated from the stored seed on load, so only the seed
-    and sampling radius are persisted.
+    and sampling radius are persisted.  A config file cannot name a SAR
+    model, so a scenario with a non-default one raises ValueError.
     """
+    if scenario.sar_model != default_sar_model():
+        raise ValueError("save_scenario cannot write a non-default sar.model")
     p = scenario.params
     values = {f.name: getattr(p, f.name) for f in fields(p) if f.name != "num_slots"}
     values.update({

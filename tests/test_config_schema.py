@@ -74,6 +74,17 @@ def test_every_parameter_survives_save_and_load(name, tmp_path):
     assert back == scn.params
 
 
+def test_save_refuses_a_sar_model_it_cannot_write(tmp_path):
+    model = tmp_path / "sar.txt"
+    model.write_text(" ".join(["1", "0"] * 10))
+    scn = load_scenario_text(f"num_users = 2\nsar.model = {model}")
+    assert scn.sar_model.b[:4] == (1.0, 0.0, 1.0, 0.0)
+    out = tmp_path / "scn.cfg"
+    with pytest.raises(ValueError, match="sar.model"):
+        save_scenario(scn, out)
+    assert not out.exists()
+
+
 def test_integer_keys_reject_fractions_and_infinities():
     for text in ("num_users = 2.5", "seed = 3.5", "num_subcarriers = inf",
                  "num_users = [3]"):

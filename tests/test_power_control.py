@@ -227,25 +227,66 @@ def test_water_level_matches_nested_bisection_with_ties_and_a_dominated_element(
 
 
 def test_cap_at_the_least_spend_edge():
-    gamma = np.array([2e-9, 1e-9, 4e-9])
-    sar = np.array([0.5, 1.0, 3.0])
-    target = 3e6
+    # a slot of three users whose smaller targets fit the cap: only user 2
+    # sits at the edge, so the error must name user 2
+    gamma = np.tile([2e-9, 1e-9, 4e-9], (3, 1))
+    sar = np.tile([0.5, 1.0, 3.0], (3, 1))
+    targets = np.array([1e6, 2e6, 3e6])
     # the least spend that meets the rate: equal weights, no cap
-    least = nested_bisection_oracle(gamma, np.ones(3), target, W, SIGMA2).sum()
+    least = nested_bisection_oracle(gamma[2], np.ones(3), targets[2], W, SIGMA2).sum()
     with pytest.raises(InfeasibleError, match="user 2"):
-        allocate_power(np.ones(3), gamma, sar, target, least * (1 - 1e-9),
-                       SIGMA2, W, user=2)
-    alloc, shares = allocate_power(np.ones(3), gamma, sar, target,
-                                   least * (1 + 1e-9), SIGMA2, W, user=2)
-    assert alloc.lam > 0
-    assert alloc.total <= least * (1 + 1e-9)
-    assert shares.sum() == pytest.approx(target, rel=1e-9)
+        allocate_power(np.ones((3, 3)), gamma, sar, targets, least * (1 - 1e-9),
+                       SIGMA2, W)
+    alloc, shares = allocate_power(np.ones((3, 3)), gamma, sar, targets,
+                                   least * (1 + 1e-9), SIGMA2, W)
+    assert alloc.lam[2] > 0
+    assert alloc.total[2] <= least * (1 + 1e-9)
+    assert shares[2].sum() == pytest.approx(targets[2], rel=1e-9)
 
 
 def test_infeasible_budget_names_user():
+    # users 0-2 carry 1 kbit/s each within the 1 uW budget; user 3 cannot
+    targets = np.array([1e3, 1e3, 1e3, 50e6])
     with pytest.raises(InfeasibleError, match="user 3"):
-        allocate_power(np.ones(2), np.array([1e-9, 1e-9]), np.ones(2),
-                       50e6, 1e-6, SIGMA2, W, user=3)
+        allocate_power(np.ones((4, 2)), np.full((4, 2), 1e-9), np.ones((4, 2)),
+                       targets, 1e-6, SIGMA2, W)
+
+
+def test_slot_batch_equals_per_row_calls_bit_for_bit():
+    # rows own 1 to 5 of 9 elements; user 1 has a zero gain on an owned
+    # element and user 3's power cap binds: the batched call must repeat
+    # each row's own call exactly, and the call on the owned elements alone
+    rng = np.random.default_rng(11)
+    delta = np.array([[1, 0, 0, 0, 0, 0, 0, 0, 0],
+                      [1, 1, 0, 1, 0, 0, 0, 0, 0],
+                      [0, 1, 1, 0, 0, 0, 1, 1, 0],
+                      [1, 0, 1, 1, 0, 1, 0, 0, 1],
+                      [0, 0, 0, 0, 1, 1, 1, 1, 0]], dtype=float)
+    gamma = rng.uniform(0.5, 5.0, size=delta.shape) * 1e-9
+    sar = rng.uniform(0.3, 3.0, size=delta.shape)
+    gamma[1, 3] = 0.0
+    targets = rng.uniform(0.2e6, 0.5e6, size=delta.shape[0])
+    targets[3] = 3e6
+    cap_row = delta[3] > 0
+    p_max = nested_bisection_oracle(gamma[3, cap_row], np.ones(5), targets[3],
+                                    W, SIGMA2).sum() * (1 + 1e-9)
+    batch, shares = allocate_power(delta, gamma, sar, targets, p_max, SIGMA2, W)
+    assert np.flatnonzero(batch.lam).tolist() == [3]
+    assert batch.powers[1, 3] == 0.0 and np.all(batch.powers[delta == 0] == 0.0)
+    for u in range(delta.shape[0]):
+        alone, alone_shares = allocate_power(delta[u], gamma[u], sar[u], targets[u],
+                                             p_max, SIGMA2, W)
+        assert np.array_equal(batch.powers[u], alone.powers)
+        assert np.array_equal(shares[u], alone_shares)
+        assert np.array_equal(batch.mu[u], alone.mu)
+        assert np.array_equal(batch.lam[u], alone.lam)
+        owned = delta[u] > 0
+        packed, packed_shares = allocate_power(np.ones(owned.sum()), gamma[u, owned],
+                                               sar[u, owned], targets[u], p_max,
+                                               SIGMA2, W)
+        assert np.array_equal(batch.powers[u, owned], packed.powers)
+        assert np.array_equal(shares[u, owned], packed_shares)
+        assert batch.mu[u] == packed.mu and batch.lam[u] == packed.lam
 
 
 def test_unallocated_elements_stay_dark():
