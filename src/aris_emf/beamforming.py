@@ -24,8 +24,8 @@ closed-form minimum over s on a fixed beta2 grid, then nested grid
 refinements around the best phase, each keeping the best point found so far.
 
 `optimize_beamformer` also takes a (..., 2, 2) stack of Gram matrices, such
-as a slot's active links, and runs their searches together on (links,
-phases) arrays; each link ends where a call on its matrix alone would.
+as the active links of a group of slots, and runs their searches together on
+(links, phases) arrays; each link ends where a call on its matrix alone would.
 """
 
 from __future__ import annotations
@@ -114,16 +114,23 @@ def _min_over_s(b, harm, beta, terms):
     n0, n1, n2 = b[0] + b[3] * harm, b[1] + b[4] * harm, b[2] + b[5] * harm
     d0, d1, d2 = k11, 2.0 * k12a * np.cos(beta + k12p), k22
     qa, qb, qc = n2 * d1 - n1 * d2, n2 * d0 - n0 * d2, n1 * d0 - n0 * d1
+    best = None
     with np.errstate(divide="ignore", invalid="ignore"):
         # roots of qa*s**2 + 2*qb*s + qc in the cancellation-free form; NaN,
         # inf and out-of-box roots fall back to the s = 0 candidate
         q = -(qb + np.copysign(np.sqrt(qb * qb - qa * qc), qb))
-        s = np.stack([np.zeros_like(q), np.full_like(q, S_MAX), q / qa, qc / q])
-        s = np.where((s >= 0.0) & (s <= S_MAX), s, 0.0)
-        den = d0 + s * (d1 + s * d2)
-        ratio = np.where(den > 0.0, (n0 + s * (n1 + s * n2)) / den, np.inf)
-    pick = np.argmin(ratio, axis=0)[None]
-    return np.take_along_axis(ratio, pick, 0)[0], np.take_along_axis(s, pick, 0)[0]
+        for s in (0.0, S_MAX, q / qa, qc / q):
+            s = np.where((s >= 0.0) & (s <= S_MAX), s, 0.0)
+            den = d0 + s * (d1 + s * d2)
+            ratio = np.where(den > 0.0, (n0 + s * (n1 + s * n2)) / den, np.inf)
+            if best is None:
+                best = ratio, np.broadcast_to(s, ratio.shape).copy()
+                continue
+            # np.argmin's pick over the candidates: the first least, or the first NaN
+            take = (ratio < best[0]) | (np.isnan(ratio) & ~np.isnan(best[0]))
+            for kept, new in zip(best, (ratio, s)):
+                np.copyto(kept, new, where=take)
+    return best
 
 
 def optimize_beamformer(k_mat, model, constants):

@@ -6,7 +6,8 @@ surface -> base station (Rician, M_r x N), and the direct user -> BS link
 and per resource element from seeded streams keyed by
 (trial, slot, subcarrier, link), so any matrix can be regenerated exactly.
 A realization at a flight path keeps only geometry; its Rician mixtures are
-formed for the entries an index selects, one slot's links in the AO.
+formed for the entries an index selects, one slot group's links in the AO
+(`slot_groups`).
 
 The LoS steering angles follow the geometry convention of the reference
 model: the user->surface link uses the y-displacement over distance for both
@@ -30,6 +31,8 @@ LINK_H = 2          # surface -> BS fading
 LINK_HD = 3         # direct-link fading
 STREAM_GR = 4       # random starts of the phase ascent
 STREAM_RANDOM_PHASE = 5  # the random-phase benchmark
+
+GROUP_LINKS = 128   # links a slot group may hold, unless one slot has more
 
 
 def rng_stream(seed, *key):
@@ -74,6 +77,18 @@ def beam_array(shape, alpha2, beta2):
 def beam_vector(beams):
     """(..., 2) weights sqrt(alpha) exp(j beta) of a Beamformer or beam array."""
     return np.sqrt(np.asarray(beams.alpha)) * np.exp(1j * np.asarray(beams.beta))
+
+
+def slot_groups(ell):
+    """(lo, hi) bounds of the runs of whole slots in a sorted slot array,
+    each run holding at most GROUP_LINKS links; a larger slot is a run alone."""
+    bounds = [0, *(np.flatnonzero(np.diff(ell)) + 1).tolist(), np.size(ell)]
+    groups, lo = [], 0
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        if end - lo > GROUP_LINKS and start > lo:
+            groups.append((lo, start))
+            lo = start
+    return groups + [(lo, bounds[-1])] if bounds[-1] else groups
 
 
 def gram(h_eff):
@@ -168,17 +183,20 @@ class ChannelRealization:
 
         ell is one slot and theta its (N,) phases, or a sorted array of each
         link's slot and theta one row per link, as the AO's refresh and its
-        sweep-start beam search pass them.  That form mixes one slot at a
-        time, so it gives the bits of per-slot calls and gathers one slot's
-        hbar rows at most."""
+        sweep-start beam search pass them.  That form mixes one slot group
+        (`slot_groups`) at a time, so it gathers the hbar rows of at most
+        GROUP_LINKS links or one slot, and gives the bits of per-slot calls.
+        A group of one slot passes its slot as a scalar, so the slot's LoS
+        broadcasts over its links instead of being gathered per link."""
         scale = self.h_scale[ell] * self.g_scale[ell, u]
         theta = np.asarray(theta)
         if np.ndim(ell) == 0:
             return self._mix(ell, n, u, theta, scale)
         out = np.empty(np.shape(u) + self.hd.shape[-2:], dtype=complex)
-        cuts = np.concatenate([[0], np.flatnonzero(np.diff(ell)) + 1, [np.size(ell)]])
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            out[lo:hi] = self._mix(ell[lo], n[lo:hi], u[lo:hi], theta[lo:hi], scale[lo:hi])
+        for lo, hi in slot_groups(ell):
+            k = slice(lo, hi)
+            slot = ell[lo] if ell[lo] == ell[hi - 1] else ell[k]
+            out[k] = self._mix(slot, n[k], u[k], theta[k], scale[k])
         return out
 
     def _mix(self, ell, n, u, theta, scale):
@@ -230,6 +248,18 @@ class ChannelSet:
         d_ub = np.linalg.norm(scenario.user_positions - scenario.bs_position[None, :], axis=1)
         dscale = np.sqrt(p.nlos_pathloss_ref * d_ub ** (-p.direct_pathloss_exp))
         self._hd *= dscale[None, None, :, None, None]
+
+    def without_surface(self, bare):
+        """This trial's set for `bare`, its scenario with no surface, as
+        ChannelSet(bare, trial) would build it: the direct-link draws are
+        shared, never copied or written, and the surface links are zero-width."""
+        if bare.params.num_ris_elements:
+            raise ValueError("without_surface needs a scenario with no surface")
+        out = object.__new__(ChannelSet)
+        out.scenario, out.trial, out._hd = bare, self.trial, self._hd
+        out._wg = np.zeros(self._wg.shape[:3] + (0,) + self._wg.shape[4:], dtype=complex)
+        out._wh = np.zeros(self._wh.shape[:3] + (0,), dtype=complex)
+        return out
 
     def realize(self, trajectory):
         """Channels at the given (N_T, 3) trajectory, reusing the stored fading."""

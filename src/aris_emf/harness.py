@@ -114,21 +114,18 @@ def export_table(table, fmt, path):
     return path
 
 
-def _run_scheme(scheme, scenario, trial, eps, knobs, channel_set=None):
+def _run_scheme(scheme, scenario, trial, eps, knobs, channel_set, direct=None):
+    """One scheme's report on the trial's channel_set; `fixed` charges its
+    travel slots at `direct`, the trial's no-ris report, when given."""
+    args = dict(trial=trial, eps=eps, knobs=knobs, channel_set=channel_set)
     if scheme == "proposed":
-        _, report = run_ao(scenario, trial=trial, eps=eps, knobs=knobs,
-                           channel_set=channel_set)
-        return report
+        return run_ao(scenario, **args)[1]
     if scheme == "fixed":
-        return baseline_fixed_ris(scenario, trial=trial, eps=eps, knobs=knobs)
-    if scheme == "random":
-        return baseline_unoptimized_phases(scenario, "random", trial=trial,
-                                           eps=eps, knobs=knobs)
-    if scheme == "zero":
-        return baseline_unoptimized_phases(scenario, "zero", trial=trial,
-                                           eps=eps, knobs=knobs)
+        return baseline_fixed_ris(scenario, direct=direct, **args)
+    if scheme in ("random", "zero"):
+        return baseline_unoptimized_phases(scenario, scheme, **args)
     if scheme == "no-ris":
-        return baseline_no_ris(scenario, trial=trial, eps=eps, knobs=knobs)
+        return baseline_no_ris(scenario, **args)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -152,15 +149,19 @@ def monte_carlo_sweep(spec, eps=MC_EPS, knobs=MC_KNOBS, progress=None):
     Returns a SweepResult whose table has one row per (value, scheme) with
     mean exposure index, standard error, successful-trial count, failure
     count, and a flag set when more than 10% of trials failed.  Paired
-    design: a trial index reuses the same channel draws across schemes and
-    the per-point ChannelSet is built once and shared where possible.
+    design: a trial index reuses the same channel draws across schemes.
+    Each (value, trial) builds one ChannelSet, which every scheme solves on
+    (`no-ris` through ChannelSet.without_surface).  `no-ris` runs first in
+    each trial, and `fixed` charges its travel slots at that report.
     """
     rows = []
     result = SweepResult(table=None)
     for value in spec.values:
         scn = scenario_with(spec.scenario, **{spec.parameter: value})
         point = getattr(scn.params, spec.parameter)
-        keys = {scheme: (point, scheme) for scheme in spec.schemes}
+        # no-ris runs first in each trial, so fixed can reuse its report
+        keys = {scheme: (point, scheme)
+                for scheme in sorted(spec.schemes, key=lambda s: s != "no-ris")}
         for key in keys.values():
             result.samples[key] = []
             result.max_samples[key] = []
@@ -168,14 +169,15 @@ def monte_carlo_sweep(spec, eps=MC_EPS, knobs=MC_KNOBS, progress=None):
             result.failures[key] = []
         for trial in range(spec.trials):
             shared = ChannelSet(scn, trial)
+            reports = {}
             for scheme, key in keys.items():
                 try:
-                    cs = shared if scheme == "proposed" else None
-                    report = _run_scheme(scheme, scn, trial, eps, knobs,
-                                         channel_set=cs)
+                    report = _run_scheme(scheme, scn, trial, eps, knobs, shared,
+                                         direct=reports.get("no-ris"))
                 except InfeasibleError as exc:
                     result.failures[key].append((trial, str(exc)))
                     continue
+                reports[scheme] = report
                 result.samples[key].append(report.exposure_index)
                 result.by_trial[key][trial] = report.exposure_index
                 per_user = report.per_user_index(scn.params.slot_duration)
@@ -229,10 +231,12 @@ def trajectory_report(scenario, trial=0, eps=MC_EPS, knobs=MC_KNOBS):
     and `fixed` marches to the recursively chosen hover point.
     """
     p = scenario.params
-    state, _ = run_ao(scenario, trial=trial, eps=eps, knobs=knobs)
+    channel_set = ChannelSet(scenario, trial)
+    state, _ = run_ao(scenario, trial=trial, eps=eps, knobs=knobs,
+                      channel_set=channel_set)
     direct = straight_trajectory(scenario.aris_start, scenario.aris_end,
                                  p.num_slots).points
-    hover_xy = fixed_position_search(scenario, trial=trial)
+    hover_xy = fixed_position_search(scenario, trial=trial, channel_set=channel_set)
     hover = np.array([hover_xy[0], hover_xy[1], p.aris_height])
     fixed = march_path(scenario.aris_start, hover, p.max_slot_distance,
                        p.num_slots)

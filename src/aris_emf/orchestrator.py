@@ -12,8 +12,11 @@ power caps remain satisfied, so the exposure trace is non-increasing by
 construction.
 
 The allocation, the cache refresh and the beam search run as one array
-pass over all slots; a sweep searches every slot's beams before its first
-slot, which is exact since no block writes a slot's rows before its turn.
+pass over all slots, the latter two in runs of whole slots of at most
+`channel.GROUP_LINKS` links (a larger slot runs alone); a sweep searches
+every slot's beams before its first slot, which is exact since no block
+writes a slot's rows before its turn.  The benchmark schemes accept the
+trial's ChannelSet, so a sweep builds it once for all of them.
 
 Throughout, each assigned resource element carries a fixed rate share, and
 its transmit power is pinned to rate equality (p = power_factor / gain);
@@ -32,7 +35,7 @@ import numpy as np
 
 from .beamforming import BeamConstants, optimize_beamformer
 from .channel import (STREAM_GR, STREAM_RANDOM_PHASE, ChannelSet, beam_array,
-                      beam_vector, channel_gain, gram, rng_stream)
+                      beam_vector, channel_gain, gram, rng_stream, slot_groups)
 from .exposure import (ExposureReport, InfeasibleError, exposure_index,
                        power_factor, reference_sar)
 from .power_control import allocate_power
@@ -231,8 +234,10 @@ def initialize_state(scenario, channel_set, path):
 def _block_beams(state, check_caps):
     """Ratio-minimizing beams of every slot's active links; each link keeps
     its incumbent unless the new beam's ratio is no worse.  One search per
-    slot bounds the (links, phases) work arrays.  Returns one entry per slot:
-    candidate arrays, or None when some link of the slot has no usable beam."""
+    slot group (`channel.slot_groups`) bounds the (links, phases) work
+    arrays; a group that finds no beam for some link is searched again slot
+    by slot.  Returns one entry per slot: candidate arrays, or None when some
+    link of the slot has no usable beam."""
     sc = state.scenario
     p = sc.params
     l, u, n = np.nonzero(state.delta)
@@ -242,13 +247,21 @@ def _block_beams(state, check_caps):
     found = beam_array(l.size, *NEUTRAL_BEAM)
     usable = np.ones(p.num_slots, dtype=bool)
     bounds = np.searchsorted(l, np.arange(p.num_slots + 1))
-    for ell, k in enumerate(map(slice, bounds[:-1], bounds[1:])):
+
+    def search(k):
         consts = BeamConstants(rbar=rbar[k], sigma2=p.noise_per_re,
                                bandwidth=p.bandwidth_per_re)
+        found[k], _ = optimize_beamformer(k_mat[k], sc.sar_model, consts)
+
+    for lo, hi in slot_groups(l):
         try:
-            found[k], _ = optimize_beamformer(k_mat[k], sc.sar_model, consts)
+            search(slice(lo, hi))
         except InfeasibleError:
-            usable[ell] = False
+            for ell in np.unique(l[lo:hi]):     # mark the failing slots only
+                try:
+                    search(slice(bounds[ell], bounds[ell + 1]))
+                except InfeasibleError:
+                    usable[ell] = False
     state.counters["beam_links"] += int(usable[l].sum())
     new_gain = channel_gain(h_eff, found)
     new_sar = _sar_of(found, sc.sar_model)
@@ -482,23 +495,29 @@ def _accept(state, ell, name, cand, current, fields):
 # benchmark schemes
 # ---------------------------------------------------------------------------
 
-def baseline_no_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None):
+def baseline_no_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
+                    channel_set=None):
     """Direct links only: the surface (and hence its phases and the flight
-    path) is removed; beams and powers still optimize."""
+    path) is removed; beams and powers still optimize.  A given channel_set
+    (the trial's, with the surface) lends its direct-link draws."""
     from .scenario import scenario_with
     bare = scenario_with(scenario, num_ris_elements=0)
+    if channel_set is not None:
+        channel_set = channel_set.without_surface(bare)
     _, report = run_ao(bare, trial=trial, eps=eps, max_outer=max_outer,
-                       knobs=knobs, enable_trajectory=False, label="no-ris")
+                       knobs=knobs, enable_trajectory=False, label="no-ris",
+                       channel_set=channel_set)
     return report
 
 
 def baseline_unoptimized_phases(scenario, mode, trial=0, eps=1e-4, max_outer=10,
-                                knobs=None):
+                                knobs=None, channel_set=None):
     """Full pipeline with the surface phases pinned to `mode` (random | zero)."""
     if mode not in ("random", "zero"):
         raise ValueError("mode must be 'random' or 'zero'")
     _, report = run_ao(scenario, trial=trial, eps=eps, max_outer=max_outer,
-                       knobs=knobs, phase_mode=mode, label=mode)
+                       knobs=knobs, phase_mode=mode, label=mode,
+                       channel_set=channel_set)
     return report
 
 
@@ -565,7 +584,8 @@ def march_path(start, target, d_max, num_slots):
     return np.asarray(points)
 
 
-def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None):
+def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
+                       channel_set=None, direct=None):
     """Surface hovering at a recursively chosen spot; slots spent flying
     there are charged at the no-surface policy's exposure.
 
@@ -573,10 +593,12 @@ def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None):
     position; slots before arrival count as travel.  Hover slots run the
     full pipeline on the fixed path (run_ao's outer loop with the path
     block off), travel slots inherit the direct-only benchmark's per-slot
-    exposure.
+    exposure: `direct`, the trial's no-surface report under the same
+    arguments, when the caller has one, else a fresh baseline_no_ris solve.
     """
     p = scenario.params
-    channel_set = ChannelSet(scenario, trial)
+    if channel_set is None:
+        channel_set = ChannelSet(scenario, trial)
     hover_xy = fixed_position_search(scenario, trial=trial,
                                      channel_set=channel_set)
     hover = np.array([hover_xy[0], hover_xy[1], p.aris_height])
@@ -591,8 +613,9 @@ def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None):
     per_user = state.per_user_exposure()
     rates = state.achieved_rates()
     if np.any(travel):
-        direct = baseline_no_ris(scenario, trial=trial, eps=eps,
-                                 max_outer=max_outer, knobs=knobs)
+        if direct is None:
+            direct = baseline_no_ris(scenario, trial=trial, eps=eps, max_outer=max_outer,
+                                     knobs=knobs, channel_set=channel_set)
         per_user = per_user.copy()
         per_user[:, travel] = direct.per_user_exposure[:, travel]
         rates = np.minimum(rates, direct.achieved_rates)

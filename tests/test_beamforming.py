@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from aris_emf.beamforming import (
+    S_MAX,
     BeamConstants,
     DinkelbachState,
+    _min_over_s,
     optimize_beamformer,
     pair_gain,
 )
@@ -266,3 +268,37 @@ def test_stacked_search_with_a_zero_gram_is_infeasible():
     cons = BeamConstants(np.array([6e5, 6e5]), 1e-12, 240e3)
     with pytest.raises(InfeasibleError):
         optimize_beamformer(k, default_sar_model(), cons)
+
+
+def stacked_min_over_s(b, harm, beta, terms):
+    """_min_over_s as np.argmin over the four stacked s candidates picks it."""
+    k11, k22, k12a, k12p = (t[:, None] for t in terms)
+    n0, n1, n2 = b[0] + b[3] * harm, b[1] + b[4] * harm, b[2] + b[5] * harm
+    d0, d1, d2 = k11, 2.0 * k12a * np.cos(beta + k12p), k22
+    qa, qb, qc = n2 * d1 - n1 * d2, n2 * d0 - n0 * d2, n1 * d0 - n0 * d1
+    q = -(qb + np.copysign(np.sqrt(qb * qb - qa * qc), qb))
+    s = np.stack([np.zeros_like(q), np.full_like(q, S_MAX), q / qa, qc / q])
+    s = np.where((s >= 0.0) & (s <= S_MAX), s, 0.0)
+    den = d0 + s * (d1 + s * d2)
+    ratio = np.where(den > 0.0, (n0 + s * (n1 + s * n2)) / den, np.inf)
+    pick = np.argmin(ratio, axis=0)[None]
+    return np.take_along_axis(ratio, pick, 0)[0], np.take_along_axis(s, pick, 0)[0]
+
+
+def test_running_minimum_over_s_picks_as_argmin():
+    # one in ten inputs special, so candidates tie (inf, or one root at
+    # several s) and some but not all of a point's candidates are NaN
+    rng = np.random.default_rng(23)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 1.0])
+    for _ in range(40):
+        b = rng.normal(size=6)
+        harm, beta = rng.normal(size=(30, 16)), rng.uniform(0.0, 2.0 * np.pi, (30, 16))
+        terms = [np.abs(rng.normal(size=30)) for _ in range(3)] + [rng.uniform(-3, 3, 30)]
+        for arr in (harm, *terms):
+            hit = rng.uniform(size=arr.shape) < 0.1
+            arr[hit] = rng.choice(special, hit.sum())
+        with np.errstate(all="ignore"):
+            got = _min_over_s(b, harm, beta, terms)
+            want = stacked_min_over_s(b, harm, beta, terms)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))

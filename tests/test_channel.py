@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aris_emf import channel
 from aris_emf.channel import (TWO_PI, Beamformer, ChannelSet, beam_array,
-                              beam_vector, channel_gain, gram, rng_stream)
-from aris_emf.orchestrator import run_ao
+                              beam_vector, channel_gain, gram, rng_stream, slot_groups)
+from aris_emf.orchestrator import initialize_state, run_ao
 from aris_emf.scenario import desk_scenario, load_scenario, scenario_from_options
 from oracles import dense_mixtures, fingerprint
 
@@ -520,3 +521,46 @@ def test_effective_on_a_slot_array_matches_per_slot_calls(num_ris_elements):
         k = ell == slot
         want = real.effective(slot, n[k], u[k], thetas[slot])
         assert np.array_equal(got[k].view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("group_links", [1, 40, 128])
+def test_effective_over_slot_groups_matches_per_slot_calls(group_links, monkeypatch):
+    # about 60% of the (user, RE) pairs, with slot 3 full (32 links): groups
+    # of one slot, of several, and a slot larger than GROUP_LINKS alone
+    monkeypatch.setattr(channel, "GROUP_LINKS", group_links)
+    sc = desk_scenario()
+    p = sc.params
+    real = ChannelSet(sc, trial=2).realize(
+        np.linspace(sc.aris_start, sc.aris_end, p.num_slots))
+    rng = np.random.default_rng(17)
+    thetas = np.exp(1j * rng.uniform(0, TWO_PI, (p.num_slots, p.num_ris_elements)))
+    delta = rng.uniform(size=(p.num_slots, p.num_users, p.num_subcarriers)) < 0.6
+    delta[3] = True
+    ell, u, n = np.nonzero(delta)
+    spans = [np.unique(ell[lo:hi]).size for lo, hi in slot_groups(ell)]
+    assert sum(spans) == p.num_slots
+    assert (max(spans) > 1) == (group_links > 32)
+    got = real.effective(ell, n, u, thetas[ell])
+    for slot in range(p.num_slots):
+        k = ell == slot
+        want = real.effective(slot, n[k], u[k], thetas[slot])
+        assert np.array_equal(got[k], want)
+
+
+def test_slot_groups_cut_whole_slots_by_link_count():
+    # desk's 6 slots of 8 links are one group
+    sc = desk_scenario()
+    state = initialize_state(sc, ChannelSet(sc, 0), np.linspace(
+        sc.aris_start, sc.aris_end, sc.params.num_slots))
+    ell = np.nonzero(state.delta)[0]
+    assert np.array_equal(np.bincount(ell), np.full(6, 8))
+    assert slot_groups(ell) == [(0, 48)]
+    # full.cfg: each of its 80 elements has one owner in every slot, so its
+    # 80-link slots each make a group
+    p = load_scenario(FULL_CFG).params
+    ell = np.repeat(np.arange(p.num_slots), p.num_subcarriers)
+    assert slot_groups(ell) == [(lo, lo + 80) for lo in range(0, ell.size, 80)]
+    # a slot above GROUP_LINKS is a group alone; its neighbours still pack
+    ell = np.repeat(np.arange(5), [30, 60, channel.GROUP_LINKS + 1, 50, 78])
+    assert slot_groups(ell) == [(0, 90), (90, 219), (219, 347)]
+    assert slot_groups(np.zeros(0, int)) == []

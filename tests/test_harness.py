@@ -8,8 +8,13 @@ import io
 import numpy as np
 import pytest
 
+from aris_emf import orchestrator
+from aris_emf.channel import ChannelSet
 from aris_emf.cli import main
 from aris_emf.harness import (
+    MC_EPS,
+    MC_KNOBS,
+    SCHEMES,
     SweepSpec,
     Table,
     cdf_table,
@@ -19,7 +24,10 @@ from aris_emf.harness import (
     trajectory_report,
     xy_table,
 )
-from aris_emf.scenario import desk_scenario, save_scenario
+from aris_emf.orchestrator import (baseline_fixed_ris, baseline_no_ris,
+                                   baseline_unoptimized_phases, run_ao)
+from aris_emf.scenario import desk_scenario, save_scenario, scenario_with
+from oracles import fingerprint
 
 DESK = desk_scenario()
 
@@ -94,6 +102,72 @@ def test_sweep_keeps_per_trial_pairing():
     assert set(result.by_trial[(16, "zero")]) == {0, 1}
 
 
+def solved_alone(scheme, trial):
+    """A scheme's exposure index from its own call, on a ChannelSet of its own."""
+    args = dict(trial=trial, eps=MC_EPS, knobs=MC_KNOBS)
+    if scheme == "proposed":
+        return run_ao(DESK, **args)[1].exposure_index
+    if scheme == "fixed":
+        return baseline_fixed_ris(DESK, **args).exposure_index
+    if scheme == "no-ris":
+        return baseline_no_ris(DESK, **args).exposure_index
+    return baseline_unoptimized_phases(DESK, scheme, **args).exposure_index
+
+
+@pytest.mark.parametrize("schemes", [SCHEMES, ("fixed",)], ids=["all", "fixed-alone"])
+def test_shared_sweep_matches_each_scheme_run_alone(schemes):
+    # fixed takes the trial's no-ris report for its travel slots, or solves
+    # no-ris itself when that scheme is not swept
+    result = monte_carlo_sweep(SweepSpec("num_ris_elements", (16,), 2, schemes, DESK))
+    for scheme in schemes:
+        assert result.by_trial[(16, scheme)] == {t: solved_alone(scheme, t) for t in (0, 1)}
+
+
+def counting_channel_sets(monkeypatch):
+    """The (surface size, trial) of each ChannelSet built, as it is built."""
+    built = []
+    init = ChannelSet.__init__
+
+    def counting(self, scenario, trial):
+        built.append((scenario.params.num_ris_elements, trial))
+        init(self, scenario, trial)
+
+    monkeypatch.setattr(ChannelSet, "__init__", counting)
+    return built
+
+
+def test_sweep_builds_one_channel_set_and_one_no_ris_solve_per_trial(monkeypatch):
+    built, bare_solves = counting_channel_sets(monkeypatch), []
+    solve = orchestrator.run_ao
+
+    def counting_solves(scenario, **kwargs):
+        if scenario.params.num_ris_elements == 0:
+            bare_solves.append(kwargs["trial"])
+        return solve(scenario, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "run_ao", counting_solves)
+    # the default order lists fixed before no-ris
+    monte_carlo_sweep(SweepSpec("num_ris_elements", (8, 16), 2, SCHEMES, DESK))
+    assert built == [(8, 0), (8, 1), (16, 0), (16, 1)]
+    assert bare_solves == [0, 1, 0, 1]
+
+
+def test_no_ris_set_shares_the_trials_direct_draws():
+    shared = ChannelSet(DESK, 3)
+    before = fingerprint(shared)
+    bare = scenario_with(DESK, num_ris_elements=0)
+    derived, fresh = shared.without_surface(bare), ChannelSet(bare, 3)
+    assert fingerprint(derived) == fingerprint(fresh)
+    assert [a.shape for a in (derived._wg, derived._wh, derived._hd)] == \
+        [a.shape for a in (fresh._wg, fresh._wh, fresh._hd)]
+    assert np.shares_memory(derived._hd, shared._hd)
+    report = baseline_no_ris(DESK, trial=3, eps=MC_EPS, knobs=MC_KNOBS, channel_set=shared)
+    assert report.exposure_index == solved_alone("no-ris", 3)
+    assert fingerprint(shared) == before
+    with pytest.raises(ValueError, match="no surface"):
+        shared.without_surface(DESK)
+
+
 def test_xy_table_extracts_one_scheme():
     spec = SweepSpec("num_ris_elements", (16,), 1, ("no-ris",), DESK)
     result = monte_carlo_sweep(spec)
@@ -162,8 +236,10 @@ def test_table_rejects_ragged_rows():
 # trajectory report
 
 
-def test_trajectory_report_covers_all_policies():
+def test_trajectory_report_covers_all_policies(monkeypatch):
+    built = counting_channel_sets(monkeypatch)
     table = trajectory_report(DESK, trial=0)
+    assert built == [(16, 0)]
     schemes = {r[0] for r in table.rows}
     assert schemes == {"optimized", "direct", "fixed"}
     n_slots = DESK.params.num_slots

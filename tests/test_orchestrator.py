@@ -1,12 +1,14 @@
 """Alternating-optimization loop: initialization, safeguarded descent,
 feasibility audits, and the benchmark schemes."""
 
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from aris_emf import orchestrator
+from aris_emf import channel, orchestrator
 from aris_emf.beamforming import BeamConstants, optimize_beamformer
 from aris_emf.channel import channel_gain, gram
 from aris_emf.exposure import (InfeasibleError, exposure_index, power_factor,
@@ -22,12 +24,13 @@ from aris_emf.orchestrator import (
     initialize_state,
     run_ao,
 )
-from aris_emf.channel import ChannelSet
-from aris_emf.scenario import Scenario, SystemParams, desk_scenario
+from aris_emf.channel import ChannelSet, slot_groups
+from aris_emf.scenario import Scenario, SystemParams, desk_scenario, load_scenario
 from aris_emf.trajectory import link_distances, straight_trajectory
 from oracles import fingerprint, min_power_for_rate
 
 FAST = AoKnobs(traj_outers=1)
+FULL_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "full.cfg")
 
 
 def straight_path(scenario):
@@ -237,6 +240,73 @@ def test_sweep_wide_beam_candidates_match_per_slot_searches(trial):
             assert cand is not None
             for got_arr, want_arr in zip(cand, want):
                 assert np.array_equal(got_arr, want_arr)
+
+
+def counting_beam_searches(monkeypatch):
+    """The link counts of the AO's optimize_beamformer calls, as they happen."""
+    calls = []
+    search = orchestrator.optimize_beamformer
+
+    def counting(k_mat, model, constants):
+        calls.append(len(k_mat))
+        return search(k_mat, model, constants)
+
+    monkeypatch.setattr(orchestrator, "optimize_beamformer", counting)
+    return calls
+
+
+@pytest.mark.parametrize("group_links, searched", [(1, [8] * 6), (20, [16] * 3),
+                                                    (128, [48])])
+def test_grouped_beam_search_matches_per_slot_calls(group_links, searched, monkeypatch):
+    # desk's six 8-link slots: one slot a group, two slots a group, all in one
+    monkeypatch.setattr(channel, "GROUP_LINKS", group_links)
+    calls = counting_beam_searches(monkeypatch)
+    state = make_state(desk_scenario(), trial=1)
+    cands = _block_beams(state, check_caps=True)
+    assert calls == searched
+    for ell, cand in enumerate(cands):
+        for got_arr, want_arr in zip(cand, per_slot_beam_candidate(state, ell)):
+            assert np.array_equal(got_arr, want_arr)
+
+
+def test_a_zero_gain_link_marks_only_its_slot_unusable(monkeypatch):
+    sc = desk_scenario()
+    state = make_state(sc, trial=0)
+    want = _block_beams(state, check_caps=True)
+    l, u, n = np.nonzero(state.delta)
+    assert slot_groups(l) == [(0, l.size)]
+    dead = np.flatnonzero(l == 3)[2]
+    effective = state.channels.effective
+
+    def with_a_dead_link(ell, *args):
+        h_eff = effective(ell, *args)
+        if np.ndim(ell):        # the block's sweep-wide call
+            h_eff[dead] = 0.0
+        return h_eff
+
+    monkeypatch.setattr(state.channels, "effective", with_a_dead_link)
+    calls = counting_beam_searches(monkeypatch)
+    got = _block_beams(state, check_caps=True)
+    assert calls == [l.size] + [8] * sc.num_slots   # the group, then slot by slot
+    assert got[3] is None
+    for ell in set(range(sc.num_slots)) - {3}:
+        for got_arr, want_arr in zip(got[ell], want[ell]):
+            assert np.array_equal(got_arr, want_arr)
+
+
+def test_full_scale_beam_block_stays_small_in_memory():
+    # each 80-link full.cfg slot is its own group; tracemalloc read 7.6 MB
+    # for the block, and 135 MB with all 20 slots searched and mixed as one
+    sc = load_scenario(FULL_CFG)
+    state = make_state(sc)
+    tracemalloc.start()
+    try:
+        cands = _block_beams(state, check_caps=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cands) == sc.num_slots
+    assert peak < 16e6
 
 
 def stencil_search_reference(scenario, channel_set, resolution=1.0):
