@@ -149,16 +149,17 @@ def power_factor(share, sigma2, w):
 
 
 def exposure_index(per_user_exposure, slot_duration):
-    """Network exposure index: (duration / (N_T * U)) * sum over users and slots.
+    """Network exposure index: (duration / (N_T * U)) * sum of the slot sums.
 
-    `per_user_exposure` has shape (U, N_T). An empty tensor (no users)
+    `per_user_exposure` has shape (U, N_T); summing each slot first means the
+    index cannot rise while no slot sum rises.  An empty tensor (no users)
     yields 0 by convention.
     """
     e = np.asarray(per_user_exposure, dtype=float)
     if e.size == 0:
         return 0.0
     u, nt = e.shape
-    return float(slot_duration / (nt * u) * np.sum(e))
+    return float(slot_duration / (nt * u) * np.sum(e.sum(axis=0)))
 
 
 @dataclass(frozen=True)

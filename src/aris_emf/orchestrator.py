@@ -3,26 +3,28 @@
 The element-to-user allocation is fixed at initialization by the greedy
 ranking of `re_alloc.allocate`, which depends only on the rate targets and
 the start path's distances; the power block may later drop an element whose
-water-filled power is zero.  One outer iteration then sweeps the slots, and
-in each slot refines the per-element transmit beams, the surface phases and
-the transmit powers, in that order; finally it refines the flight path
-across slots.  Every sub-block is safeguarded: its output replaces the
-state only when the network exposure index does not increase and per-user
-power caps remain satisfied, so the exposure trace is non-increasing by
-construction.
+water-filled power is zero.  One outer iteration runs the transmit beams,
+then the surface phases, then the transmit powers, each block once over all
+slots, and then refines the flight path across slots.  Each block proposes a
+candidate per slot, and `_accept` keeps it exactly when that slot's own
+exposure sum does not rise (in the main loop the slot's power caps must also
+hold).  The index sums the slot sums first, so the exposure trace is
+non-increasing by construction, in floating point too.  This block-major
+order makes the decisions of a slot-by-slot sweep: a block's inputs and
+outputs at slot ell are slot ell's rows, every cap is per slot, and the index
+is a plain sum over slots.  Only near-ties differ, where a candidate moves
+its slot sum by about an ulp and the slot-by-slot total rounds the other way.
 
-The allocation, the cache refresh and the beam search run as one array
-pass over all slots, the latter two in runs of whole slots of at most
-`channel.GROUP_LINKS` links (a larger slot runs alone); a sweep searches
-every slot's beams before its first slot, which is exact since no block
-writes a slot's rows before its turn.  The benchmark schemes accept the
-trial's ChannelSet, so a sweep builds it once for all of them.
+Beams and the cache refresh run as one array pass over all slots, in runs of
+whole slots of at most `channel.GROUP_LINKS` links (a larger slot runs
+alone); powers are one water-filling call over every (slot, user) row; the
+phases run one ascent per slot.  The benchmark schemes accept the trial's
+ChannelSet, so a sweep builds it once for all of them.
 
 Throughout, each assigned resource element carries a fixed rate share, and
 its transmit power is pinned to rate equality (p = power_factor / gain);
-the power sub-block is the one place where shares themselves are
-re-balanced, by one water-filling call per slot over all its users.  Rate
-targets therefore hold exactly after every accepted block.
+the power block is the one place where shares themselves are re-balanced.
+Rate targets therefore hold exactly after every accepted block.
 """
 
 from __future__ import annotations
@@ -67,10 +69,10 @@ class AoKnobs:
     """The one AO budget callers set.
 
     The allocation is fixed at initialization by the greedy ranking; each
-    outer iteration runs beams -> phases -> power in every slot, then the
-    flight-path block.  traj_outers caps how many outer iterations attempt
-    a flight-path move; later iterations polish beams, phases and powers on
-    the final path.
+    outer iteration runs beams, phases and power, each over all slots, then
+    the flight-path block.  traj_outers caps how many outer iterations
+    attempt a flight-path move; later iterations polish beams, phases and
+    powers on the final path.
     """
 
     traj_outers: int = 2
@@ -98,9 +100,9 @@ class SolutionState:
     beams: np.ndarray
     thetas: np.ndarray
     trace: list = field(default_factory=list)
-    counters: dict = field(default_factory=lambda: {"phase_calls": 0,
-                                                    "sca_iters": 0,
-                                                    "beam_links": 0})
+    counters: dict = field(default_factory=lambda: dict.fromkeys(
+        ("phase_calls", "sca_iters", "beam_links", "beam_unusable",
+         "power_fallbacks"), 0))
 
     def per_user_exposure(self):
         """(U, N_T) per-slot exposure sums."""
@@ -161,23 +163,22 @@ def _sar_of(beams, model):
     return reference_sar(model, np.moveaxis(beams.alpha, -1, 0), beams.beta[..., 1])
 
 
-def _exposure_weight(state, ell):
-    """(U, N_c) c = sqrt(power_factor * SAR) of slot ell: a link's exposure
-    is c^2 / gain."""
+def _exposure_weight(state):
+    """(N_T, U, N_c) c = sqrt(power_factor * SAR): a link's exposure is
+    c^2 / gain."""
     p = state.scenario.params
-    return np.sqrt(power_factor(state.shares[ell], p.noise_per_re,
-                                p.bandwidth_per_re) * state.sar[ell])
+    return np.sqrt(power_factor(state.shares, p.noise_per_re,
+                                p.bandwidth_per_re) * state.sar)
 
 
-def _equality_powers(state, ell, gamma):
-    """Powers meeting each active RE's share exactly (p = power_factor / gain)
-    in slot ell, or in every slot when ell is `...`."""
-    active = state.delta[ell] > 0
+def _equality_powers(state, gamma):
+    """Powers meeting each active RE's share exactly (p = power_factor / gain)."""
+    active = state.delta > 0
     if np.any(gamma[active] <= 0):
         raise InfeasibleError("an assigned resource element has no usable gain")
     p = state.scenario.params
     powers = np.zeros_like(gamma)
-    powers[active] = (power_factor(state.shares[ell][active], p.noise_per_re,
+    powers[active] = (power_factor(state.shares[active], p.noise_per_re,
                                    p.bandwidth_per_re) / gamma[active])
     return powers
 
@@ -190,12 +191,12 @@ def _refresh(state):
     h_eff = state.channels.effective(l, n, u, state.thetas[l])
     state.gamma[l, u, n] = channel_gain(h_eff, beams)
     state.sar[l, u, n] = _sar_of(beams, state.scenario.sar_model)
-    state.powers[...] = _equality_powers(state, ..., state.gamma)
+    state.powers[...] = _equality_powers(state, state.gamma)
 
 
 def _caps_ok(powers, p_max):
-    """Whether every (slot, user) row of powers keeps within the cap."""
-    return bool(np.all(powers.sum(axis=-1) <= p_max * (1.0 + CAP_SLACK)))
+    """(N_T,) whether every user of a slot keeps within the cap."""
+    return np.all(powers.sum(axis=-1) <= p_max * (1.0 + CAP_SLACK), axis=-1)
 
 
 def initialize_state(scenario, channel_set, path):
@@ -236,8 +237,9 @@ def _block_beams(state, check_caps):
     its incumbent unless the new beam's ratio is no worse.  One search per
     slot group (`channel.slot_groups`) bounds the (links, phases) work
     arrays; a group that finds no beam for some link is searched again slot
-    by slot.  Returns one entry per slot: candidate arrays, or None when some
-    link of the slot has no usable beam."""
+    by slot.  Returns (usable, (beams, gamma, sar, powers)): the (N_T,) mask
+    of slots whose every link found a usable beam, and the candidate arrays.
+    """
     sc = state.scenario
     p = sc.params
     l, u, n = np.nonzero(state.delta)
@@ -262,6 +264,7 @@ def _block_beams(state, check_caps):
                     search(slice(bounds[ell], bounds[ell + 1]))
                 except InfeasibleError:
                     usable[ell] = False
+    state.counters["beam_unusable"] += int((~usable).sum())
     state.counters["beam_links"] += int(usable[l].sum())
     new_gain = channel_gain(h_eff, found)
     new_sar = _sar_of(found, sc.sar_model)
@@ -273,71 +276,62 @@ def _block_beams(state, check_caps):
     l, u, n = l[take], u[take], n[take]
     beams, gamma, sar = (arr.copy() for arr in (state.beams, state.gamma, state.sar))
     beams[l, u, n], gamma[l, u, n], sar[l, u, n] = found[take], new_gain[take], new_sar[take]
-    powers = _equality_powers(state, ..., gamma)
+    powers = _equality_powers(state, gamma)
     if check_caps:
-        usable &= [_caps_ok(slot_powers, p.p_max) for slot_powers in powers]
-    return [(beams[ell], gamma[ell], sar[ell], powers[ell]) if ok else None
-            for ell, ok in enumerate(usable)]
+        usable &= _caps_ok(powers, p.p_max)
+    return usable, (beams, gamma, sar, powers)
 
 
-def _block_phases(state, ell, rng, check_caps):
-    """Surface-phase refinement for one slot; returns candidate arrays or None."""
-    sc = state.scenario
-    p = sc.params
-    if p.num_ris_elements == 0:
-        return None
-    u, n = np.nonzero(state.delta[ell])
-    beams = state.beams[ell, u, n]
-    cascade, direct = state.channels.cascade_and_direct(ell, n, u, beam_vector(beams))
-    theta = optimize_phases(cascade, direct, np.ones(u.size),
-                            _exposure_weight(state, ell)[u, n],
-                            PhaseShiftVector(state.thetas[ell]), rng)
-    state.counters["phase_calls"] += 1
-    if np.allclose(theta.values, state.thetas[ell], rtol=0, atol=1e-15):
-        return None
-    gamma = state.gamma[ell].copy()
-    gamma[u, n] = channel_gain(state.channels.effective(ell, n, u, theta.values), beams)
-    powers = _equality_powers(state, ell, gamma)
-    if check_caps and not _caps_ok(powers, p.p_max):
-        return None
-    return theta.values, gamma, powers
-
-
-def _block_power(state, ell):
-    """Water-filling for every user of slot ell in one call: candidate
-    (delta, shares, powers) without the elements left dark, or None."""
+def _block_phases(state, rngs, check_caps):
+    """Surface-phase refinement of every slot, one ascent per slot with that
+    slot's generator; returns (changed, (thetas, gamma, powers))."""
     p = state.scenario.params
+    thetas, gamma = state.thetas.copy(), state.gamma.copy()
+    weight = _exposure_weight(state)
+    for ell in range(p.num_slots):
+        u, n = np.nonzero(state.delta[ell])
+        beams = state.beams[ell, u, n]
+        cascade, direct = state.channels.cascade_and_direct(ell, n, u, beam_vector(beams))
+        theta = optimize_phases(cascade, direct, np.ones(u.size), weight[ell, u, n],
+                                PhaseShiftVector(state.thetas[ell]), rngs[ell]).values
+        state.counters["phase_calls"] += 1
+        if not np.allclose(theta, state.thetas[ell], rtol=0, atol=1e-15):
+            thetas[ell] = theta
+            gamma[ell, u, n] = channel_gain(state.channels.effective(ell, n, u, theta), beams)
+    changed = np.any(thetas != state.thetas, axis=1)
+    powers = _equality_powers(state, gamma)
+    if check_caps:
+        changed &= _caps_ok(powers, p.p_max)
+    return changed, (thetas, gamma, powers)
+
+
+def _block_power(state):
+    """Water-filling for every (slot, user) row in one call: returns (ok,
+    (delta, shares, powers)) without the elements left dark.  When the call
+    fails, every slot keeps its incumbent and the fallback is counted."""
+    p = state.scenario.params
+    targets = np.broadcast_to(state.scenario.rate_targets, state.delta.shape[:2])
     try:
-        alloc, shares = allocate_power(state.delta[ell], state.gamma[ell], state.sar[ell],
-                                       state.scenario.rate_targets, p.p_max,
-                                       p.noise_per_re, p.bandwidth_per_re)
+        alloc, shares = allocate_power(state.delta, state.gamma, state.sar, targets,
+                                       p.p_max, p.noise_per_re, p.bandwidth_per_re)
     except (InfeasibleError, ArithmeticError):
-        return None
-    return np.where(alloc.powers > 0, state.delta[ell], 0.0), shares, alloc.powers
+        state.counters["power_fallbacks"] += 1
+        return np.zeros(p.num_slots, dtype=bool), ()
+    delta = np.where(alloc.powers > 0, state.delta, 0.0)
+    return np.ones(p.num_slots, dtype=bool), (delta, shares, alloc.powers)
 
 
-def _sweep_slots(state, phase_rngs, tune_phases, current, check_caps):
-    """Beams, then phases (when tuned), then powers, in every slot.
-
-    check_caps makes the beam and phase blocks reject a candidate that
-    breaks a power cap; without it the caller restores the caps itself.
-    Returns the exposure after the sweep.  Every slot's beams are searched
-    up front, which is exact: until slot ell's turn no block writes row ell of
-    delta, shares, thetas, beams, gamma or sar.  Each slot's candidate is
-    still accepted or rejected at its turn.
-    """
-    beam_cands = _block_beams(state, check_caps)
-    for ell, cand in enumerate(beam_cands):
-        current = _accept(state, ell, "beams", cand, current,
-                          ("beams", "gamma", "sar", "powers"))
-        if tune_phases:
-            cand = _block_phases(state, ell, phase_rngs[ell], check_caps)
-            current = _accept(state, ell, "phases", cand, current,
-                              ("thetas", "gamma", "powers"))
-        cand = _block_power(state, ell)
-        current = _accept(state, ell, "power", cand, current,
-                          ("delta", "shares", "powers"))
-    return current
+def _sweep_slots(state, phase_rngs, tune_phases, check_caps):
+    """Beams, then phases (when tuned), then powers, each over all slots and
+    accepted slot by slot.  check_caps makes the beam and phase blocks reject
+    a candidate that breaks a power cap; without it the caller restores the
+    caps itself."""
+    _accept(state, "beams", *_block_beams(state, check_caps),
+            ("beams", "gamma", "sar", "powers"))
+    if tune_phases:
+        _accept(state, "phases", *_block_phases(state, phase_rngs, check_caps),
+                ("thetas", "gamma", "powers"))
+    _accept(state, "power", *_block_power(state), ("delta", "shares", "powers"))
 
 
 def _trajectory_field(state):
@@ -350,7 +344,7 @@ def _trajectory_field(state):
     p = state.scenario.params
     ch = state.channels
     k1, k2 = p.ris_pathloss_exps
-    a_un, b_un, resid, c_un = (np.zeros(state.delta.shape) for _ in range(4))
+    a_un, b_un, resid = (np.zeros(state.delta.shape) for _ in range(3))
     for ell in range(p.num_slots):
         u, n = np.nonzero(state.delta[ell])
         cascade, direct = ch.cascade_and_direct(ell, n, u,
@@ -360,8 +354,7 @@ def _trajectory_field(state):
         a_un[ell, u, n] = np.sum(refl.real ** 2 + refl.imag ** 2, axis=1) * s2
         b_un[ell, u, n] = 2.0 * np.sum((direct.conj() * refl).real, axis=1) * np.sqrt(s2)
         resid[ell, u, n] = np.sum(direct.real ** 2 + direct.imag ** 2, axis=1)
-        c_un[ell, u, n] = _exposure_weight(state, ell)[u, n]
-    return GainField(state.delta.copy(), c_un, a_un, b_un, resid, k1, k2)
+    return GainField(state.delta.copy(), _exposure_weight(state), a_un, b_un, resid, k1, k2)
 
 
 def _block_trajectory(state, phase_rngs, tune_phases):
@@ -400,8 +393,8 @@ def _block_trajectory(state, phase_rngs, tune_phases):
         return None
     # re-tune geometry-sensitive blocks at the new path (safeguarded on the
     # candidate's own exposure, caps restored by the power block)
-    _sweep_slots(cand, phase_rngs, tune_phases, cand.exposure(), check_caps=False)
-    if not _caps_ok(cand.powers, p.p_max):
+    _sweep_slots(cand, phase_rngs, tune_phases, check_caps=False)
+    if not _caps_ok(cand.powers, p.p_max).all():
         return None
     return cand
 
@@ -412,9 +405,10 @@ def run_ao(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
     """Full alternating optimization for one trial, from the straight path.
 
     Initialization fixes the allocation by the greedy ranking; each outer
-    iteration then runs beams -> phases -> power in every slot, followed by
-    the flight-path block while enable_trajectory holds and fewer than
-    knobs.traj_outers iterations have run.
+    iteration then runs beams, phases and power, each over all slots and
+    accepted slot by slot, followed by the flight-path block while
+    enable_trajectory holds and fewer than knobs.traj_outers iterations
+    have run.
 
     phase_mode: "optimized" runs the phase sub-block; "zero" pins flat
     phases; "random" pins per-slot random phases from the trial's dedicated
@@ -443,9 +437,9 @@ def _outer_loop(state, trial, eps, max_outer, phase_mode, path_outers):
             state.thetas[ell] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi,
                                                         p.num_ris_elements))
         _refresh(state)
-        if not _caps_ok(state.powers, p.p_max):
+        if not _caps_ok(state.powers, p.p_max).all():
             raise InfeasibleError("random-phase start exceeds the power cap")
-    tune_phases = phase_mode == "optimized"
+    tune_phases = phase_mode == "optimized" and p.num_ris_elements > 0
     phase_rngs = [rng_stream(sc.rng_seed, trial, ell, 0, STREAM_GR)
                   for ell in range(p.num_slots)]
 
@@ -453,8 +447,8 @@ def _outer_loop(state, trial, eps, max_outer, phase_mode, path_outers):
     state.trace.append({"event": "init", "exposure": current})
     for outer in range(max_outer):
         start_exposure = current
-        current = _sweep_slots(state, phase_rngs, tune_phases, current,
-                               check_caps=True)
+        _sweep_slots(state, phase_rngs, tune_phases, check_caps=True)
+        current = state.exposure()
         if outer < path_outers:
             cand = _block_trajectory(state, phase_rngs, tune_phases)
             if cand is not None:
@@ -471,24 +465,27 @@ def _outer_loop(state, trial, eps, max_outer, phase_mode, path_outers):
             break
 
 
-def _accept(state, ell, name, cand, current, fields):
-    """Safeguarded replacement of one slot's arrays. Returns the new exposure."""
-    if cand is None:
-        return current
+def _accept(state, name, ok, cand, fields):
+    """Safeguarded replacement of a block's candidate slots: each slot in the
+    (N_T,) mask ok takes its candidate rows exactly when its own exposure sum
+    does not rise, and the others keep the incumbent.  The index sums slot
+    sums first (`exposure.exposure_index`), so it cannot rise either.  One
+    trace event is logged per kept slot, its delta in index units."""
+    rows = np.flatnonzero(ok)
+    before = state.per_user_exposure().sum(axis=0)
     saved = {}
     for fname, value in zip(fields, cand):
         arr = getattr(state, fname)
-        saved[fname] = arr[ell].copy()
-        arr[ell] = value
-    new = state.exposure()
-    if new <= current:
-        state.trace.append({"event": name, "slot": ell, "delta": new - current})
-        return new
-    # Within float noise of a tie (or worse): keep the incumbent so the
-    # logged trace stays non-positive.
+        saved[fname] = arr[rows]
+        arr[rows] = value[rows]
+    gain = state.per_user_exposure().sum(axis=0) - before
+    keep = gain[rows] <= 0.0
     for fname, old in saved.items():
-        getattr(state, fname)[ell] = old
-    return current
+        getattr(state, fname)[rows[~keep]] = old[~keep]
+    p = state.scenario.params
+    scale = p.slot_duration / (p.num_slots * p.num_users)
+    for ell in rows[keep]:
+        state.trace.append({"event": name, "slot": int(ell), "delta": scale * gain[ell]})
 
 
 # ---------------------------------------------------------------------------

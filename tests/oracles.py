@@ -4,9 +4,12 @@
 forms a realization's Rician mixtures for the whole trial at once, as the
 lazy ones must reproduce bit for bit; `min_power_for_rate` and
 `solve_multipliers` state the single-link power inversion and one user's
-power multipliers as the tests check them against the power block.
+power multipliers as the tests check them against the power block;
+`slot_major_sweep` runs the AO's blocks slot by slot, the order the
+block-major sweep must reproduce.
 """
 
+import copy
 import hashlib
 import math
 
@@ -14,6 +17,7 @@ import numpy as np
 
 from aris_emf.channel import TWO_PI
 from aris_emf.exposure import InfeasibleError, power_factor
+from aris_emf.orchestrator import _block_beams, _block_phases, _block_power
 from aris_emf.power_control import _solve
 
 
@@ -76,3 +80,39 @@ def solve_multipliers(gamma, sar, rate_target, p_max, sigma2, w):
     """
     mu, lam, _ = _solve(gamma, sar, rate_target, p_max, sigma2, w)
     return mu, lam
+
+
+def slot_major_sweep(state, phase_rngs, tune_phases, check_caps):
+    """`orchestrator._sweep_slots` in the per-slot order: beams, phases and
+    power of slot 0, then of slot 1, and so on, each slot's candidate kept
+    when the whole exposure index does not rise.
+
+    Every block runs over all slots and only slot ell's rows are offered; the
+    other slots' phase ascents draw from copies of their generators, so each
+    slot's stream advances once per sweep, as in the AO.
+    """
+    def offer(ell, name, ok, cand, fields):
+        if not ok[ell]:
+            return
+        current = state.exposure()
+        saved = {}
+        for fname, value in zip(fields, cand):
+            arr = getattr(state, fname)
+            saved[fname] = arr[ell].copy()
+            arr[ell] = value[ell]
+        new = state.exposure()
+        if new <= current:
+            state.trace.append({"event": name, "slot": ell, "delta": new - current})
+            return
+        for fname, old in saved.items():
+            getattr(state, fname)[ell] = old
+
+    beams = _block_beams(state, check_caps)
+    for ell in range(state.scenario.params.num_slots):
+        offer(ell, "beams", *beams, ("beams", "gamma", "sar", "powers"))
+        if tune_phases:
+            rngs = [rng if k == ell else copy.deepcopy(rng)
+                    for k, rng in enumerate(phase_rngs)]
+            offer(ell, "phases", *_block_phases(state, rngs, check_caps),
+                  ("thetas", "gamma", "powers"))
+        offer(ell, "power", *_block_power(state), ("delta", "shares", "powers"))

@@ -182,6 +182,26 @@ def test_exposure_index_brute_force():
     assert exposure_index(e, 15.0) == pytest.approx(want, rel=1e-12)
 
 
+def test_index_cannot_rise_when_no_slot_sum_rises():
+    # ulp-scale mass moved between two users of some slots: the AO keeps a
+    # slot's candidate by its own slot sum, so the index must follow those
+    rng = np.random.default_rng(0)
+    checked = 0
+    for _ in range(2000):
+        u, nt = rng.integers(2, 9), rng.integers(2, 41)
+        e = rng.uniform(0.0, 1.0, (u, nt)) * 10.0 ** rng.integers(-6, 1)
+        moved = e.copy()
+        for col in np.flatnonzero(rng.random(nt) < 0.5):
+            i, j = rng.choice(u, 2, replace=False)
+            step = rng.integers(1, 4) * np.spacing(moved[i, col])
+            moved[i, col] -= step
+            moved[j, col] += step
+        if np.all(moved.sum(axis=0) <= e.sum(axis=0)):
+            checked += 1
+            assert exposure_index(moved, 15.0) <= exposure_index(e, 15.0)
+    assert checked > 500
+
+
 def test_exposure_index_empty_is_zero():
     assert exposure_index(np.zeros((0, 0)), 15.0) == 0.0
 

@@ -24,10 +24,10 @@ from aris_emf.orchestrator import (
     initialize_state,
     run_ao,
 )
-from aris_emf.channel import ChannelSet, slot_groups
+from aris_emf.channel import STREAM_GR, ChannelSet, rng_stream, slot_groups
 from aris_emf.scenario import Scenario, SystemParams, desk_scenario, load_scenario
 from aris_emf.trajectory import link_distances, straight_trajectory
-from oracles import fingerprint, min_power_for_rate
+from oracles import fingerprint, min_power_for_rate, slot_major_sweep
 
 FAST = AoKnobs(traj_outers=1)
 FULL_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "full.cfg")
@@ -199,6 +199,41 @@ def test_path_subproblem_converges_on_desk_trials(trial):
     assert failed == []
 
 
+@pytest.mark.parametrize("trial", [0, 1, 2])
+def test_block_major_sweep_matches_the_slot_major_order(trial, monkeypatch):
+    # the orders differ only where a candidate ties its slot to within
+    # rounding; on desk that moves per-user exposures by about 1e-15
+    sc = desk_scenario()
+    got, _ = run_ao(sc, trial=trial, eps=MC_EPS, knobs=MC_KNOBS)
+    monkeypatch.setattr(orchestrator, "_sweep_slots", slot_major_sweep)
+    want, _ = run_ao(sc, trial=trial, eps=MC_EPS, knobs=MC_KNOBS)
+    np.testing.assert_allclose(got.per_user_exposure(), want.per_user_exposure(),
+                               rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got.achieved_rates(), want.achieved_rates(),
+                               rtol=1e-13, atol=0)
+
+
+def test_a_failing_power_call_keeps_every_slot_and_is_counted(monkeypatch):
+    def failing(*args):
+        raise ArithmeticError("multiplier solve left user 0 short of its rate target")
+
+    monkeypatch.setattr(orchestrator, "allocate_power", failing)
+    sc = desk_scenario()
+    start = make_state(sc)
+    state, _ = run_ao(sc, trial=0, eps=MC_EPS, knobs=MC_KNOBS)
+    assert state.counters["power_fallbacks"] > 0
+    assert not any(e["event"] == "power" for e in state.trace)
+    # only the power block writes delta and shares
+    assert np.array_equal(state.delta, start.delta)
+    assert np.array_equal(state.shares, start.shares)
+    fields = ("delta", "shares", "powers")
+    before = [getattr(start, f).copy() for f in fields]
+    orchestrator._accept(start, "power", *orchestrator._block_power(start), fields)
+    for fname, arr in zip(fields, before):
+        assert np.array_equal(getattr(start, fname), arr)
+    assert start.counters["power_fallbacks"] == 1 and start.trace == []
+
+
 def per_slot_beam_candidate(state, ell):
     """The beam block's candidate for slot ell from a search on that slot's
     links alone, as a search at the slot's own turn in the sweep builds it."""
@@ -233,12 +268,12 @@ def test_sweep_wide_beam_candidates_match_per_slot_searches(trial):
     first = make_state(sc, trial)
     second, _ = run_ao(sc, trial=trial, eps=MC_EPS, max_outer=1, knobs=MC_KNOBS)
     for state in (first, second):
-        cands = _block_beams(state, check_caps=True)
-        assert len(cands) == sc.num_slots
-        for ell, cand in enumerate(cands):
+        ok, cand = _block_beams(state, check_caps=True)
+        assert ok.shape == (sc.num_slots,)
+        for ell in range(sc.num_slots):
             want = per_slot_beam_candidate(state, ell)
-            assert cand is not None
-            for got_arr, want_arr in zip(cand, want):
+            assert ok[ell]
+            for got_arr, want_arr in zip([a[ell] for a in cand], want):
                 assert np.array_equal(got_arr, want_arr)
 
 
@@ -262,17 +297,19 @@ def test_grouped_beam_search_matches_per_slot_calls(group_links, searched, monke
     monkeypatch.setattr(channel, "GROUP_LINKS", group_links)
     calls = counting_beam_searches(monkeypatch)
     state = make_state(desk_scenario(), trial=1)
-    cands = _block_beams(state, check_caps=True)
+    ok, cand = _block_beams(state, check_caps=True)
     assert calls == searched
-    for ell, cand in enumerate(cands):
-        for got_arr, want_arr in zip(cand, per_slot_beam_candidate(state, ell)):
+    for ell in range(state.scenario.num_slots):
+        assert ok[ell]
+        for got_arr, want_arr in zip([a[ell] for a in cand],
+                                     per_slot_beam_candidate(state, ell)):
             assert np.array_equal(got_arr, want_arr)
 
 
 def test_a_zero_gain_link_marks_only_its_slot_unusable(monkeypatch):
     sc = desk_scenario()
     state = make_state(sc, trial=0)
-    want = _block_beams(state, check_caps=True)
+    _, want = _block_beams(state, check_caps=True)
     l, u, n = np.nonzero(state.delta)
     assert slot_groups(l) == [(0, l.size)]
     dead = np.flatnonzero(l == 3)[2]
@@ -286,11 +323,13 @@ def test_a_zero_gain_link_marks_only_its_slot_unusable(monkeypatch):
 
     monkeypatch.setattr(state.channels, "effective", with_a_dead_link)
     calls = counting_beam_searches(monkeypatch)
-    got = _block_beams(state, check_caps=True)
+    ok, got = _block_beams(state, check_caps=True)
     assert calls == [l.size] + [8] * sc.num_slots   # the group, then slot by slot
-    assert got[3] is None
+    assert not ok[3]
+    assert state.counters["beam_unusable"] == 1
     for ell in set(range(sc.num_slots)) - {3}:
-        for got_arr, want_arr in zip(got[ell], want[ell]):
+        assert ok[ell]
+        for got_arr, want_arr in zip([a[ell] for a in got], [a[ell] for a in want]):
             assert np.array_equal(got_arr, want_arr)
 
 
@@ -301,12 +340,28 @@ def test_full_scale_beam_block_stays_small_in_memory():
     state = make_state(sc)
     tracemalloc.start()
     try:
-        cands = _block_beams(state, check_caps=True)
+        ok, _ = _block_beams(state, check_caps=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(cands) == sc.num_slots
+    assert ok.shape == (sc.num_slots,)
     assert peak < 16e6
+
+
+def test_full_scale_phase_block_stays_small_in_memory():
+    # one ascent per slot; tracemalloc read 11.4 MB for the block, and every
+    # slot's cascades gathered at once would add about 65 MB
+    sc = load_scenario(FULL_CFG)
+    state = make_state(sc)
+    rngs = [rng_stream(sc.rng_seed, 0, ell, 0, STREAM_GR) for ell in range(sc.num_slots)]
+    tracemalloc.start()
+    try:
+        ok, _ = orchestrator._block_phases(state, rngs, check_caps=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.shape == (sc.num_slots,)
+    assert peak < 24e6
 
 
 def stencil_search_reference(scenario, channel_set, resolution=1.0):
