@@ -210,10 +210,30 @@ def _strictly_feasible(fv):
     return bool(np.all(np.isfinite(fv) & (fv < 0)))
 
 
+def _step_bound(fvec, gdx):
+    """Least alpha at which a constraint rising along the step (G dx > 0)
+    has its tangent plane reach 0; inf when none rises."""
+    rising = gdx > 0.0
+    return float(np.min(-fvec[rising] / gdx[rising])) if rising.any() else np.inf
+
+
 def solve_convex_program(program, x0, tol=1e-8, return_duals=False,
                          t0=1.0, t_growth=2.0):
-    """Log-barrier method: barrier weight shrunk (t grown by t_growth) each
-    round, damped Newton centering with 0.3/0.8 backtracking.
+    """Log-barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3):
+    damped Newton centering on t*f0 - sum(log(-f_i)), with t grown by
+    t_growth each round until m/t <= tol.
+
+    Schedule.  A round before the last stops centering once the Newton
+    decrement is at most 1e-6*t; the last round centers until the gradient
+    of t*f0 clears the requested tolerance.  Between rounds the point moves
+    along the central path's tangent to the next t, dx*/dt = -H^-1 grad f0,
+    when that lowers the barrier value at the next t.
+
+    Line search.  Backtracking by 0.8 under a 0.3 Armijo slope, started at
+    min(1, 0.99*alpha_lin), where alpha_lin is the least -f_i/(G dx)_i over
+    rows rising along dx.  A convex f_i lies above its tangent, so
+    f_i(x + alpha dx) >= f_i + alpha (G dx)_i >= 0 for every alpha >=
+    alpha_lin: the start skips only probes that would leave the feasible set.
 
     The Newton system gets no ridge: Newton's method is invariant under a
     linear change of variables, and a ridge scaled to the largest Hessian
@@ -247,11 +267,24 @@ def solve_convex_program(program, x0, tol=1e-8, return_duals=False,
     value_of = program.objective_value or (lambda xx: _eval(program.objective, xx)[0])
 
     def barrier_value(t, xx):
-        v0 = value_of(xx)
-        fv = ineq_values(xx)
-        if fv.size and not _strictly_feasible(fv):
-            return np.inf
-        return t * v0 - float(np.sum(np.log(-fv))) if fv.size else t * v0
+        # a trial point may leave the constraints' domain (a log of a
+        # negative number, say); the NaN or inf that gives is rejected here,
+        # so its warning carries no information
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            fv = ineq_values(xx)
+            if not _strictly_feasible(fv):
+                return np.inf
+            return t * value_of(xx) - float(np.sum(np.log(-fv)))
+
+    def line_search(t, phi0, xx, dx, slope, alpha):
+        """(alpha, barrier value) of the first probe from alpha down that
+        meets the Armijo test, or (0, inf) once alpha falls below 1e-14."""
+        while alpha > 1e-14:
+            phi = barrier_value(t, xx + alpha * dx)
+            if phi <= phi0 + 0.3 * alpha * slope:
+                return alpha, phi
+            alpha *= 0.8
+        return 0.0, np.inf
 
     t = max(float(t0), 1.0)
     while True:
@@ -260,13 +293,13 @@ def solve_convex_program(program, x0, tol=1e-8, return_duals=False,
         for _ in range(MAX_NEWTON):
             f0, g0, h0 = _eval(program.objective, x)
             fvec, gmat, hess_mix = pack(x, True)
-            fvec = np.asarray(fvec, dtype=float)
-            gmat = np.asarray(gmat, dtype=float)
-            grad = t * g0 - gmat.T @ (1.0 / fvec)
-            hess = t * h0 + (gmat.T * fvec ** -2) @ gmat
+            inv = 1.0 / fvec
+            scaled = gmat * inv[:, None]
+            grad = t * g0 - gmat.T @ inv
+            hess = t * h0 + scaled.T @ scaled
             if hess_mix is not None:
-                hess = hess + hess_mix(-1.0 / fvec)
-            hess = 0.5 * (hess + hess.T)
+                hess = hess + hess_mix(-inv)
+            phi0 = t * f0 - float(np.sum(np.log(-fvec)))
 
             # grad/t is the KKT stationarity residual under the barrier duals;
             # in the last round center until it clears the requested tolerance
@@ -280,28 +313,16 @@ def solve_convex_program(program, x0, tol=1e-8, return_duals=False,
                 dx = np.linalg.lstsq(hess, -grad, rcond=None)[0]
 
             decrement = float(-grad @ dx)
-            if decrement <= 1e-13 * max(1.0, t):
-                break
-            if not final_round and decrement <= 1e-10 * max(1.0, t):
+            if decrement <= (1e-13 if final_round else 1e-6) * max(1.0, t):
                 break
 
-            phi0 = barrier_value(t, x)
-            alpha = 1.0
-            gd = float(grad @ dx)
-            # a trial point may leave the constraints' domain (a log of a
-            # negative number, say); barrier_value rejects the NaN or inf
-            # that gives, so its warning carries no information
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                while alpha > 1e-14:
-                    phi = barrier_value(t, x + alpha * dx)
-                    if phi <= phi0 + 0.3 * alpha * gd:
-                        break
-                    alpha *= 0.8
-                else:
-                    # steps this small only happen at numerical centering accuracy
-                    if decrement <= 1e-4 * max(1.0, t):
-                        break
-                    raise ConvexSolverError("line-search failure while centering")
+            alpha, phi = line_search(t, phi0, x, dx, -decrement,
+                                     min(1.0, 0.99 * _step_bound(fvec, gmat @ dx)))
+            if alpha == 0.0:
+                # steps this small only happen at numerical centering accuracy
+                if decrement <= 1e-4 * max(1.0, t):
+                    break
+                raise ConvexSolverError("line-search failure while centering")
             x = x + alpha * dx
             if phi >= phi0:  # centered as far as the barrier value resolves
                 break
@@ -310,7 +331,20 @@ def solve_convex_program(program, x0, tol=1e-8, return_duals=False,
 
         if final_round:
             break
-        t *= t_growth
+        t_next = t * t_growth
+        if decrement <= 1e-6 * max(1.0, t):
+            # x is centered and f0, fvec, gmat and hess are its values:
+            # follow the central path's tangent to t_next if that lowers the
+            # barrier value there
+            try:
+                dx = (t_next - t) * np.linalg.solve(hess, -g0)
+            except np.linalg.LinAlgError:
+                dx = np.full_like(x, np.nan)
+            if np.all(np.isfinite(dx)):
+                alpha = min(1.0, 0.99 * _step_bound(fvec, gmat @ dx))
+                if barrier_value(t_next, x + alpha * dx) < phi0 + (t_next - t) * f0:
+                    x = x + alpha * dx
+        t = t_next
     if return_duals:
         fv = ineq_values(x)
         lam = 1.0 / (t * np.maximum(-fv, 1e-300))

@@ -57,8 +57,12 @@ HOVER_RESOLUTION = 1.0   # meters; the hover-point search stops below this radiu
 # outer iteration (TRAJ_X_ROUNDS = TRAJ_SCA_ITERS = 1) is the efficient
 # schedule here because the outer loop re-derives the gain field (beams,
 # phases and powers included) before every new attempt, which a standalone
-# multi-round search cannot do.  The phase block's step budget, tolerance and
-# restarts are `ris_phase` constants.
+# multi-round search cannot do.  TRAJ_BARRIER_TOL bounds how far the path
+# subproblem's answer may sit above its optimum in the scaled surrogate (the
+# barrier's m/t); answers within it are equally valid, so a change in the
+# barrier's schedule moves waypoints (by up to 0.2 m on a desk round) while
+# the surrogate value moves by less than the tolerance.  The phase block's
+# step budget, tolerance and restarts are `ris_phase` constants.
 TRAJ_X_ROUNDS = 1
 TRAJ_SCA_ITERS = 1
 TRAJ_BARRIER_TOL = 1e-4
@@ -102,7 +106,7 @@ class SolutionState:
     trace: list = field(default_factory=list)
     counters: dict = field(default_factory=lambda: dict.fromkeys(
         ("phase_calls", "sca_iters", "beam_links", "beam_unusable",
-         "power_fallbacks"), 0))
+         "power_fallbacks", "path_fallbacks"), 0))
 
     def per_user_exposure(self):
         """(U, N_T) per-slot exposure sums."""
@@ -378,7 +382,7 @@ def _block_trajectory(state, phase_rngs, tune_phases):
         state.trajectory, field_, sc.user_positions, sc.bs_position,
         p.max_slot_distance, max_x_rounds=TRAJ_X_ROUNDS,
         max_sca_iters=TRAJ_SCA_ITERS, barrier_tol=TRAJ_BARRIER_TOL,
-        history=history)
+        history=history, counters=state.counters)
     state.counters["sca_iters"] += max(len(history) - 1, 0)
     if np.allclose(new_traj.points, state.trajectory, rtol=0, atol=1e-12):
         return None

@@ -32,7 +32,14 @@ from .convex_kernels import ConvexProgram, ConvexSolverError, solve_convex_progr
 from .exposure import InfeasibleError
 from .ris_phase import quad_transform_y
 
-SLACK_LIFT = 1e-6  # initial slacks sit this far (relatively) above the distances
+# A state's slacks, the tangent points of its next subproblem, sit SLACK_LIFT
+# (relatively) above the distances they bound.  The subproblem's barrier
+# starts the slacks START_LIFT times higher, off the surrogates' boundary:
+# from the tangent point each slack row would start at about -2e-6 d^2, and
+# the first centering would take 36-68 Newton steps on desk programs, not
+# 19-30.
+SLACK_LIFT = 1e-6
+START_LIFT = 1.1
 
 
 @dataclass(frozen=True)
@@ -178,6 +185,11 @@ def sca_step(state, gain_field, user_positions, bs_position, max_step,
     the slack surrogates (one per slack, in variable order) and the
     step-length disks of the N_T - 1 slot moves.
 
+    The state's slacks s0 are the tangent points of the linearization; the
+    barrier starts with the waypoints in place and the slacks at
+    START_LIFT * s0, strictly inside every slack surrogate, and grows its
+    weight 16-fold per round.
+
     Returns a new ScaState; on solver failure the input state is returned
     unchanged (with a warning).  With no interior slots the waypoints are
     fixed and only the slacks tighten onto the true distances.
@@ -216,27 +228,29 @@ def sca_step(state, gain_field, user_positions, bs_position, max_step,
     const = float(np.sum(-(fa + fb) + (dau + dbu) * u0 + (dav + dbv) * v0))
     exact = b_neg[pl + 1, pu] > 0.0                 # kept-exact convex cross terms
     eu, ev, ec = iu[exact], iv[exact], b_neg[pl + 1, pu][exact]
+    exact_v = vpos[exact]                           # each exact term's v among vslots
+    v_diag = (np.arange(nq, nq + nv),) * 2
 
     def raw_objective(x, want_derivs=True):
         # (value, gradient, Hessian), or the value alone for line-search
         # probes; a probe outside the distance cone, which the barrier
-        # rejects, gets an infinite value
+        # rejects, gets an infinite value.  Each exact term owns its u
+        # variable, while several may share a v, so v sums go by bincount.
         uu, vv = x[eu], x[ev]
-        if np.any(uu <= 0.0) or np.any(vv <= 0.0):
+        if (uu <= 0.0).any() or (vv <= 0.0).any():
             return (np.inf, lin, np.zeros((dim, dim))) if want_derivs else np.inf
         f = ec * uu ** -h1 * vv ** -h2
         val = const + float(lin @ x) + float(f.sum())
         if not want_derivs:
             return val
+        fu, fv = h1 * f / uu, h2 * f / vv
         grad = lin.copy()
+        grad[eu] -= fu
+        grad[nq:nq + nv] -= np.bincount(exact_v, fv, minlength=nv)
         hess = np.zeros((dim, dim))
-        np.add.at(grad, eu, -h1 * f / uu)
-        np.add.at(grad, ev, -h2 * f / vv)
-        cross = h1 * h2 * f / (uu * vv)
-        np.add.at(hess, (eu, eu), h1 * (h1 + 1.0) * f / uu ** 2)
-        np.add.at(hess, (ev, ev), h2 * (h2 + 1.0) * f / vv ** 2)
-        np.add.at(hess, (eu, ev), cross)
-        np.add.at(hess, (ev, eu), cross)
+        hess[eu, eu] = (h1 + 1.0) * fu / uu
+        hess[v_diag] = np.bincount(exact_v, (h2 + 1.0) * fv / vv, minlength=nv)
+        hess[eu, ev] = hess[ev, eu] = h2 * fu / vv
         return val, grad, hess
 
     # slack surrogates |q - target|^2 + dz^2 + s0^2 - 2 s0 s <= 0, one row per
@@ -246,11 +260,18 @@ def sca_step(state, gain_field, user_positions, bs_position, max_step,
     dz2 = (pts[sl + 1, 2] - np.concatenate([np.full(nv, bs[2]), users[pu, 2]])) ** 2
     s0 = np.concatenate([state.v_slack[vslots + 1], u0])
     ks = s0.size
+    slack_const = dz2 + s0 * s0
     # step disks |D q + pinned ends|^2 <= max_step^2 over the N_T - 1 moves
     diff_mat = np.eye(n_slots - 1, n_free) - np.eye(n_slots - 1, n_free, k=-1)
     m = ks + n_slots - 1
     limit2 = float(max_step) ** 2
-    g_slack = np.vstack([np.diag(-2.0 * s0), np.zeros((n_slots - 1, ks))])
+    # the Jacobian's slack columns are constant; pack fills in its q entries,
+    # 2 (q - target) on the slack rows and +-2 (move) on the step rows
+    jac = np.zeros((m, dim))
+    jac[np.arange(ks), nq + np.arange(ks)] = -2.0 * s0
+    q_rows = np.concatenate([np.arange(ks), ks + np.arange(n_free), ks + 1 + np.arange(n_free)])
+    q_cols = 2 * np.concatenate([sl, np.arange(n_free), np.arange(n_free)])
+    q_entries = (q_rows * dim + q_cols)[:, None] + np.arange(2)
 
     path = pts[:, :2].copy()                        # pack writes the interior rows
 
@@ -268,21 +289,21 @@ def sca_step(state, gain_field, user_positions, bs_position, max_step,
         dq = q[sl] - target
         path[1:-1] = q
         moves = path[1:] - path[:-1]
-        f = np.concatenate([
-            dq[:, 0] * dq[:, 0] + dq[:, 1] * dq[:, 1] + dz2 + s0 * s0 - 2.0 * s0 * x[nq:],
-            moves[:, 0] * moves[:, 0] + moves[:, 1] * moves[:, 1] - limit2])
+        f = np.concatenate([(dq * dq).sum(axis=1) + slack_const - 2.0 * s0 * x[nq:],
+                            (moves * moves).sum(axis=1) - limit2])
         if not want_derivs:
             return f
-        g_q = np.zeros((m, n_free, 2))
-        g_q[np.arange(ks), sl] = 2.0 * dq
-        g_q[ks:] = 2.0 * diff_mat[:, :, None] * moves[:, None, :]
-        return f, np.hstack([g_q.reshape(m, nq), g_slack]), hess_mix
+        g = jac.copy()
+        g.flat[q_entries] = 2.0 * np.concatenate([dq, moves[:-1], -moves[1:]])
+        return f, g, hess_mix
 
-    x0 = np.concatenate([pts[1:-1, :2].ravel(), s0])
+    # the barrier starts the slacks above their tangent point (see START_LIFT)
+    xt = np.concatenate([pts[1:-1, :2].ravel(), s0])
+    x0 = np.concatenate([pts[1:-1, :2].ravel(), START_LIFT * s0])
 
     # rescale so the barrier works on an O(1)-gradient objective regardless
     # of the physical magnitudes of the collapsed weights
-    scale = max(float(np.max(np.abs(raw_objective(x0)[1]), initial=0.0)), 1e-300)
+    scale = max(float(np.max(np.abs(raw_objective(xt)[1]), initial=0.0)), 1e-300)
 
     def objective(x):
         val, grad, hess = raw_objective(x)
@@ -291,7 +312,7 @@ def sca_step(state, gain_field, user_positions, bs_position, max_step,
     prog = ConvexProgram(dim=dim, objective=objective, constraint_pack=pack,
                          objective_value=lambda x: raw_objective(x, False) / scale)
     try:
-        sol = solve_convex_program(prog, x0, tol=barrier_tol, t_growth=4.0)
+        sol = solve_convex_program(prog, x0, tol=barrier_tol, t_growth=16.0)
     except ConvexSolverError as exc:
         warnings.warn(f"path subproblem failed, keeping current waypoints: {exc}",
                       RuntimeWarning, stacklevel=2)
@@ -309,13 +330,15 @@ def sca_step(state, gain_field, user_positions, bs_position, max_step,
 
 def optimize_trajectory(points, gain_field, user_positions, bs_position, max_step,
                         eps5=1e-4, max_x_rounds=30, max_sca_iters=50,
-                        barrier_tol=1e-8, history=None):
+                        barrier_tol=1e-8, history=None, counters=None):
     """Full alternating loop over ratio weights and waypoint refinements.
 
     points: (N_T, 3) current waypoints (endpoints treated as pinned).
     history, when a list, collects the frozen-fading proxy after every
-    accepted inner iteration.  Returns a Trajectory that never scores worse
-    than the input on the frozen-fading proxy.
+    accepted inner iteration.  counters, when a dict, has its
+    "path_fallbacks" entry raised by one for every subproblem whose solve
+    failed (sca_step warns and keeps the waypoints).  Returns a Trajectory
+    that never scores worse than the input on the frozen-fading proxy.
     """
     state = make_sca_state(points, gain_field, user_positions, bs_position)
     if history is not None:
@@ -337,6 +360,8 @@ def optimize_trajectory(points, gain_field, user_positions, bs_position, max_ste
             new_state = sca_step(state, gain_field, user_positions, bs_position,
                                  max_step, barrier_tol=barrier_tol)
             if new_state is state:
+                if counters is not None:
+                    counters["path_fallbacks"] += 1
                 break
             prev = state.objective
             if new_state.objective > prev * (1.0 + 1e-12):

@@ -8,9 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from aris_emf import channel, orchestrator
+from aris_emf import channel, orchestrator, trajectory
 from aris_emf.beamforming import BeamConstants, optimize_beamformer
 from aris_emf.channel import channel_gain, gram
+from aris_emf.convex_kernels import ConvexSolverError
 from aris_emf.exposure import (InfeasibleError, exposure_index, power_factor,
                                reference_sar)
 from aris_emf.harness import MC_EPS, MC_KNOBS
@@ -232,6 +233,19 @@ def test_a_failing_power_call_keeps_every_slot_and_is_counted(monkeypatch):
     for fname, arr in zip(fields, before):
         assert np.array_equal(getattr(start, fname), arr)
     assert start.counters["power_fallbacks"] == 1 and start.trace == []
+
+
+def test_a_failing_path_solve_keeps_the_path_and_is_counted(monkeypatch):
+    def failing(*args, **kwargs):
+        raise ConvexSolverError("synthetic failure")
+
+    monkeypatch.setattr(trajectory, "solve_convex_program", failing)
+    sc = desk_scenario()
+    start = make_state(sc)
+    with pytest.warns(RuntimeWarning, match="keeping current waypoints"):
+        state, _ = run_ao(sc, trial=0, eps=MC_EPS, knobs=MC_KNOBS)
+    assert state.counters["path_fallbacks"] > 0
+    assert np.array_equal(state.trajectory, start.trajectory)
 
 
 def per_slot_beam_candidate(state, ell):

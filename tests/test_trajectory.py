@@ -8,6 +8,7 @@ import pytest
 
 from aris_emf.convex_kernels import ConvexProgram, ConvexSolverError, solve_convex_program
 from aris_emf.exposure import InfeasibleError
+from aris_emf.orchestrator import TRAJ_BARRIER_TOL
 from aris_emf.trajectory import (
     GainField,
     Trajectory,
@@ -395,3 +396,60 @@ def test_step_matches_the_per_term_reference(seed):
     stepped = sca_step(state, field, users, BS, 150.0, barrier_tol=1e-10)
     want = reference_step_points(state, field, users, 150.0, barrier_tol=1e-10)
     assert np.max(np.abs(stepped.points - want)) <= 1e-6
+
+
+def record_path_solves(monkeypatch):
+    """Wraps sca_step's solver: each solve appends (program, x0, keyword
+    arguments, solution, Newton steps), a step being one full objective
+    evaluation (line-search probes read the value-only form)."""
+    import aris_emf.trajectory as traj_mod
+    solves = []
+
+    def recording(prog, x0, **kwargs):
+        steps = [0]
+
+        def counted(x, objective=prog.objective):
+            steps[0] += 1
+            return objective(x)
+
+        sol = solve_convex_program(replace(prog, objective=counted), x0, **kwargs)
+        solves.append((prog, x0, kwargs, sol, steps[0]))
+        return sol
+
+    monkeypatch.setattr(traj_mod, "solve_convex_program", recording)
+    return solves
+
+
+def first_step_at(field, users, barrier_tol):
+    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6).points
+    state = make_sca_state(pts, field, users, BS)
+    return sca_step(state, field, users, BS, 150.0, barrier_tol=barrier_tol)
+
+
+def test_path_solve_newton_budget(monkeypatch):
+    # desk-shaped programs (28 variables, 25 constraints) at the AO run's
+    # tolerance: a lifted start, rounds of t x16, a tangent predictor and
+    # looser intermediate centering take a median of 45 Newton steps here,
+    # where a start on the boundary with rounds of t x4 took 85
+    solves = record_path_solves(monkeypatch)
+    for seed in range(12):
+        first_step_at(*desk_fixture(seed), TRAJ_BARRIER_TOL)
+    assert {prog.dim for prog, *_ in solves} == {28}
+    assert np.median([steps for *_, steps in solves]) <= 70
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_path_solve_is_within_its_tolerance_of_a_tight_solve(seed, monkeypatch):
+    # the barrier's m/t bound: at barrier_tol the scaled surrogate value is
+    # within barrier_tol of the optimum, here of a 1e-10 solve of the same
+    # program; mixed-sign cross terms, as in the per-term reference above
+    solves = record_path_solves(monkeypatch)
+    field, users = desk_fixture(40 + seed)
+    delta = field.delta.copy()
+    delta[3] = 0.0
+    delta[2, 0] = 0.0
+    first_step_at(replace(field, delta=delta), users, TRAJ_BARRIER_TOL)
+    (prog, x0, kwargs, sol, _), = solves
+    tight = solve_convex_program(prog, x0, **{**kwargs, "tol": 1e-10})
+    gap = prog.objective_value(sol) - prog.objective_value(tight)
+    assert -1e-9 <= gap <= TRAJ_BARRIER_TOL
