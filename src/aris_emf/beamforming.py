@@ -25,7 +25,8 @@ refinements around the best phase, each keeping the best point found so far.
 
 `optimize_beamformer` also takes a (..., 2, 2) stack of Gram matrices, such
 as the active links of a group of slots, and runs their searches together on
-(links, phases) arrays; each link ends where a call on its matrix alone would.
+(links, phases) arrays; each link ends where a call on its matrix alone would,
+and a link that no beam gives positive gain ends with an infinite ratio.
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ def optimize_beamformer(k_mat, model, constants):
     array of shape (...) and a DinkelbachState whose lam and lam_history
     are arrays.  lam_history holds the coarse grid's ratio and then the best
     ratio after each refinement pass, so it never rises; iterations counts
-    the passes.  Raises InfeasibleError if some matrix gives no beam a
-    positive gain.
+    the passes.  A single matrix that gives no beam a positive gain raises
+    InfeasibleError; in a stack, such a link's lam is inf.
     """
     k_mat = np.asarray(k_mat)
     terms = [np.reshape(t, -1) for t in _checked_terms(k_mat)]
@@ -153,7 +154,7 @@ def optimize_beamformer(k_mat, model, constants):
     ratio, s = _min_over_s(model.b, harm, beta, terms)
     i = np.argmin(ratio, axis=1)
     best = np.stack([ratio[links, i], s[links, i], beta[i]])   # ratio, s, beta2
-    if np.any(np.isinf(best[0])):
+    if not lead and np.isinf(best[0][0]):
         raise InfeasibleError("no beamformer achieves positive gain")
     history = [best[0]]
     step = TWO_PI / BETA_GRID

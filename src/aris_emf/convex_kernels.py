@@ -217,8 +217,7 @@ def _step_bound(fvec, gdx):
     return float(np.min(-fvec[rising] / gdx[rising])) if rising.any() else np.inf
 
 
-def solve_convex_program(program, x0, tol=1e-8, return_duals=False,
-                         t0=1.0, t_growth=2.0):
+def solve_convex_program(program, x0, tol=1e-8, return_duals=False, t_growth=2.0):
     """Log-barrier method (Boyd & Vandenberghe, Convex Optimization, 11.3):
     damped Newton centering on t*f0 - sum(log(-f_i)), with t grown by
     t_growth each round until m/t <= tol.
@@ -240,10 +239,9 @@ def solve_convex_program(program, x0, tol=1e-8, return_duals=False,
     entry swamps the soft directions of a badly scaled program (the path
     subproblem's diagonal spans about 12 orders of magnitude).  With
     return_duals=True the result is (x, lam): the inequality
-    multipliers lam_i = 1/(t * (-f_i)) at the last barrier weight.  t0 > 1
-    starts the barrier schedule further along, useful when x0 is a warm start
-    near the optimum; t_growth > 2 trades extra Newton steps per round for
-    fewer rounds.
+    multipliers lam_i = 1/(t * (-f_i)) at the last barrier weight.  The
+    schedule starts at t = 1; t_growth > 2 trades extra Newton steps per round
+    for fewer rounds.
     """
     if t_growth <= 1.0:
         raise ValueError("t_growth must exceed 1")
@@ -286,7 +284,7 @@ def solve_convex_program(program, x0, tol=1e-8, return_duals=False,
             alpha *= 0.8
         return 0.0, np.inf
 
-    t = max(float(t0), 1.0)
+    t = 1.0
     while True:
         final_round = m == 0 or m / t <= tol
         # center at the current t

@@ -20,7 +20,6 @@ from .orchestrator import (
     AoKnobs,
     baseline_fixed_ris,
     baseline_no_ris,
-    baseline_unoptimized_phases,
     fixed_position_search,
     march_path,
     run_ao,
@@ -123,7 +122,7 @@ def _run_scheme(scheme, scenario, trial, eps, knobs, channel_set, direct=None):
     if scheme == "fixed":
         return baseline_fixed_ris(scenario, direct=direct, **args)
     if scheme in ("random", "zero"):
-        return baseline_unoptimized_phases(scenario, scheme, **args)
+        return run_ao(scenario, phase_mode=scheme, label=scheme, **args)[1]
     if scheme == "no-ris":
         return baseline_no_ris(scenario, **args)
     raise ValueError(f"unknown scheme {scheme!r}")

@@ -18,7 +18,10 @@ its slot sum by about an ulp and the slot-by-slot total rounds the other way.
 Beams and the cache refresh run as one array pass over all slots, in runs of
 whole slots of at most `channel.GROUP_LINKS` links (a larger slot runs
 alone); powers are one water-filling call over every (slot, user) row; the
-phases run one ascent per slot.  The benchmark schemes accept the trial's
+phases run one ascent per slot.  `run_ao` is the one way into the loop:
+the `random` and `zero` benchmarks pin the phases by its phase_mode, `fixed`
+starts it on the hover path with the path block off, and `no-ris` runs it on
+the scenario without a surface.  The benchmark schemes accept the trial's
 ChannelSet, so a sweep builds it once for all of them.
 
 Throughout, each assigned resource element carries a fixed rate share, and
@@ -37,7 +40,8 @@ import numpy as np
 
 from .beamforming import BeamConstants, optimize_beamformer
 from .channel import (STREAM_GR, STREAM_RANDOM_PHASE, ChannelSet, beam_array,
-                      beam_vector, channel_gain, gram, rng_stream, slot_groups)
+                      beam_vector, channel_gain, expanded_gain, gram, gram_terms,
+                      rng_stream, slot_groups)
 from .exposure import (ExposureReport, InfeasibleError, exposure_index,
                        power_factor, reference_sar)
 from .power_control import allocate_power
@@ -207,8 +211,6 @@ def initialize_state(scenario, channel_set, path):
     """Feasible starting point on the given (N_T, 3) flight path: flat phases,
     greedy allocation, equal rate shares, neutral beams, rate-equality powers."""
     p = scenario.params
-    if p.num_subcarriers < p.num_users:
-        raise InfeasibleError("fewer resource elements than users")
     channels = channel_set.realize(path)
     nt, u, nc = p.num_slots, p.num_users, p.num_subcarriers
     if p.num_ris_elements > 0:
@@ -240,37 +242,26 @@ def _block_beams(state, check_caps):
     """Ratio-minimizing beams of every slot's active links; each link keeps
     its incumbent unless the new beam's ratio is no worse.  One search per
     slot group (`channel.slot_groups`) bounds the (links, phases) work
-    arrays; a group that finds no beam for some link is searched again slot
-    by slot.  Returns (usable, (beams, gamma, sar, powers)): the (N_T,) mask
-    of slots whose every link found a usable beam, and the candidate arrays.
+    arrays; a slot with a link that no beam gives positive gain (infinite
+    ratio) is unusable.  Returns (usable, (beams, gamma, sar, powers)): the
+    (N_T,) mask of slots whose every link found a usable beam, and the
+    candidate arrays.
     """
     sc = state.scenario
     p = sc.params
     l, u, n = np.nonzero(state.delta)
-    h_eff = state.channels.effective(l, n, u, state.thetas[l])
-    k_mat = gram(h_eff)
+    k_mat = gram(state.channels.effective(l, n, u, state.thetas[l]))
     rbar = state.shares[l, u, n]
     found = beam_array(l.size, *NEUTRAL_BEAM)
     usable = np.ones(p.num_slots, dtype=bool)
-    bounds = np.searchsorted(l, np.arange(p.num_slots + 1))
-
-    def search(k):
-        consts = BeamConstants(rbar=rbar[k], sigma2=p.noise_per_re,
-                               bandwidth=p.bandwidth_per_re)
-        found[k], _ = optimize_beamformer(k_mat[k], sc.sar_model, consts)
-
     for lo, hi in slot_groups(l):
-        try:
-            search(slice(lo, hi))
-        except InfeasibleError:
-            for ell in np.unique(l[lo:hi]):     # mark the failing slots only
-                try:
-                    search(slice(bounds[ell], bounds[ell + 1]))
-                except InfeasibleError:
-                    usable[ell] = False
+        consts = BeamConstants(rbar=rbar[lo:hi], sigma2=p.noise_per_re,
+                               bandwidth=p.bandwidth_per_re)
+        found[lo:hi], info = optimize_beamformer(k_mat[lo:hi], sc.sar_model, consts)
+        usable[l[lo:hi][np.isinf(info.lam)]] = False
     state.counters["beam_unusable"] += int((~usable).sum())
     state.counters["beam_links"] += int(usable[l].sum())
-    new_gain = channel_gain(h_eff, found)
+    new_gain = expanded_gain(gram_terms(k_mat), found.alpha[..., 1], found.beta[..., 1])
     new_sar = _sar_of(found, sc.sar_model)
     pf = power_factor(rbar, p.noise_per_re, p.bandwidth_per_re)
     old_gain, old_sar = state.gamma[l, u, n], state.sar[l, u, n]
@@ -405,8 +396,10 @@ def _block_trajectory(state, phase_rngs, tune_phases):
 
 def run_ao(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
            enable_trajectory=True, phase_mode="optimized", label="proposed",
-           channel_set=None):
-    """Full alternating optimization for one trial, from the straight path.
+           channel_set=None, path=None):
+    """Full alternating optimization for one trial, from the (N_T, 3) flight
+    path `path` (the straight start-to-end line when omitted; `audit` holds
+    its ends to the scenario's).
 
     Initialization fixes the allocation by the greedy ranking; each outer
     iteration then runs beams, phases and power, each over all slots and
@@ -418,34 +411,27 @@ def run_ao(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
     phases; "random" pins per-slot random phases from the trial's dedicated
     stream.  Returns (SolutionState, ExposureReport).
     """
-    if channel_set is None:
-        channel_set = ChannelSet(scenario, trial)
-    path = straight_trajectory(scenario.aris_start, scenario.aris_end,
-                               scenario.num_slots).points
-    state = initialize_state(scenario, channel_set, path)
-    path_outers = (knobs or AoKnobs()).traj_outers if enable_trajectory else 0
-    _outer_loop(state, trial, eps, max_outer, phase_mode, path_outers)
-    return state, state.report(label)
-
-
-def _outer_loop(state, trial, eps, max_outer, phase_mode, path_outers):
-    """run_ao's outer loop on an initialized state, which it refines in place;
-    the path block runs in the first path_outers outer iterations."""
-    sc = state.scenario
-    p = sc.params
     if phase_mode not in ("optimized", "zero", "random"):
         raise ValueError(f"unknown phase mode {phase_mode!r}")
+    p = scenario.params
+    if channel_set is None:
+        channel_set = ChannelSet(scenario, trial)
+    if path is None:
+        path = straight_trajectory(scenario.aris_start, scenario.aris_end,
+                                   scenario.num_slots).points
+    state = initialize_state(scenario, channel_set, path)
     if phase_mode == "random" and p.num_ris_elements > 0:
         for ell in range(p.num_slots):
-            rng = rng_stream(sc.rng_seed, trial, ell, 0, STREAM_RANDOM_PHASE)
+            rng = rng_stream(scenario.rng_seed, trial, ell, 0, STREAM_RANDOM_PHASE)
             state.thetas[ell] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi,
                                                         p.num_ris_elements))
         _refresh(state)
         if not _caps_ok(state.powers, p.p_max).all():
             raise InfeasibleError("random-phase start exceeds the power cap")
     tune_phases = phase_mode == "optimized" and p.num_ris_elements > 0
-    phase_rngs = [rng_stream(sc.rng_seed, trial, ell, 0, STREAM_GR)
+    phase_rngs = [rng_stream(scenario.rng_seed, trial, ell, 0, STREAM_GR)
                   for ell in range(p.num_slots)]
+    path_outers = (knobs or AoKnobs()).traj_outers if enable_trajectory else 0
 
     current = state.exposure()
     state.trace.append({"event": "init", "exposure": current})
@@ -467,6 +453,7 @@ def _outer_loop(state, trial, eps, max_outer, phase_mode, path_outers):
         state.trace.append({"event": "outer", "outer": outer, "exposure": current})
         if abs(start_exposure - current) <= eps * max(start_exposure, 1e-300):
             break
+    return state, state.report(label)
 
 
 def _accept(state, name, ok, cand, fields):
@@ -507,17 +494,6 @@ def baseline_no_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
         channel_set = channel_set.without_surface(bare)
     _, report = run_ao(bare, trial=trial, eps=eps, max_outer=max_outer,
                        knobs=knobs, enable_trajectory=False, label="no-ris",
-                       channel_set=channel_set)
-    return report
-
-
-def baseline_unoptimized_phases(scenario, mode, trial=0, eps=1e-4, max_outer=10,
-                                knobs=None, channel_set=None):
-    """Full pipeline with the surface phases pinned to `mode` (random | zero)."""
-    if mode not in ("random", "zero"):
-        raise ValueError("mode must be 'random' or 'zero'")
-    _, report = run_ao(scenario, trial=trial, eps=eps, max_outer=max_outer,
-                       knobs=knobs, phase_mode=mode, label=mode,
                        channel_set=channel_set)
     return report
 
@@ -591,11 +567,12 @@ def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
     there are charged at the no-surface policy's exposure.
 
     The platform leaves its start point at full speed toward the hover
-    position; slots before arrival count as travel.  Hover slots run the
-    full pipeline on the fixed path (run_ao's outer loop with the path
-    block off), travel slots inherit the direct-only benchmark's per-slot
-    exposure: `direct`, the trial's no-surface report under the same
-    arguments, when the caller has one, else a fresh baseline_no_ris solve.
+    position; slots before arrival count as travel.  Hover slots run
+    `run_ao` on that march path with the path block off, the scenario's
+    ends pinned to the path's; travel slots inherit the direct-only
+    benchmark's per-slot exposure: `direct`, the trial's no-surface report
+    under the same arguments, when the caller has one, else a fresh
+    baseline_no_ris solve.
     """
     p = scenario.params
     if channel_set is None:
@@ -608,17 +585,16 @@ def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
     travel = ~np.all(np.isclose(path, hover[None, :]), axis=1)
 
     pinned = dataclasses.replace(scenario, aris_start=path[0], aris_end=path[-1])
-    state = initialize_state(pinned, channel_set, path)
-    _outer_loop(state, trial, eps, max_outer, "optimized", path_outers=0)
-
-    per_user = state.per_user_exposure()
-    rates = state.achieved_rates()
-    if np.any(travel):
-        if direct is None:
-            direct = baseline_no_ris(scenario, trial=trial, eps=eps, max_outer=max_outer,
-                                     knobs=knobs, channel_set=channel_set)
-        per_user = per_user.copy()
-        per_user[:, travel] = direct.per_user_exposure[:, travel]
-        rates = np.minimum(rates, direct.achieved_rates)
+    _, report = run_ao(pinned, trial=trial, eps=eps, max_outer=max_outer, knobs=knobs,
+                       enable_trajectory=False, label="fixed-ris",
+                       channel_set=channel_set, path=path)
+    if not np.any(travel):
+        return report
+    if direct is None:
+        direct = baseline_no_ris(scenario, trial=trial, eps=eps, max_outer=max_outer,
+                                 knobs=knobs, channel_set=channel_set)
+    per_user = report.per_user_exposure.copy()
+    per_user[:, travel] = direct.per_user_exposure[:, travel]
     return ExposureReport(per_user, exposure_index(per_user, p.slot_duration),
-                          rates, "fixed-ris")
+                          np.minimum(report.achieved_rates, direct.achieved_rates),
+                          "fixed-ris")

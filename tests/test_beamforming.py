@@ -264,10 +264,15 @@ def test_stacked_search_matches_single_matrix_calls():
 
 
 def test_stacked_search_with_a_zero_gram_is_infeasible():
+    # the zero link ends at an infinite ratio; the other ends where its own call does
+    model = default_sar_model()
     k = np.stack([np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)])
-    cons = BeamConstants(np.array([6e5, 6e5]), 1e-12, 240e3)
-    with pytest.raises(InfeasibleError):
-        optimize_beamformer(k, default_sar_model(), cons)
+    beams, state = optimize_beamformer(k, model, BeamConstants(np.array([6e5, 6e5]),
+                                                               1e-12, 240e3))
+    assert np.isinf(state.lam[1])
+    bf, one = optimize_beamformer(k[0], model, BeamConstants(6e5, 1e-12, 240e3))
+    assert state.lam[0] == one.lam
+    assert tuple(beams.alpha[0]) == bf.alpha and tuple(beams.beta[0]) == bf.beta
 
 
 def stacked_min_over_s(b, harm, beta, terms):

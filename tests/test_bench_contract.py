@@ -91,6 +91,18 @@ def test_phase_block_runs_without_the_sdp_on_a_fixed_surface_run():
     assert tracer.counts["ris_phase.fallbacks"] == 0
 
 
+def test_run_ao_observer_counts_the_fixed_surface_scheme():
+    # `fixed` runs its hover leg through run_ao, so the benchmark's run_ao
+    # observer reads its outer iterations and accepted blocks
+    tracer = instrument.Tracer()
+    with ExitStack() as stack:
+        tracer.install(stack)
+        baseline_fixed_ris(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1,
+                           knobs=MC_KNOBS)
+    assert tracer.counts["orchestrator.accepted.phases"] > 0
+    assert tracer.counts["orchestrator.outer_iters"] > 0
+
+
 def test_link_primitives_the_benchmark_times_are_called_in_a_desk_run():
     # the per-layer metrics of these names read 0 without an error if the
     # AO stops calling them under the name the benchmark wraps

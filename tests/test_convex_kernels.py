@@ -281,16 +281,11 @@ def test_barrier_constraint_pack_matches_closures():
         assert np.allclose(lam1, lam2, rtol=1e-4, atol=1e-10)
 
 
-def test_barrier_pack_infeasible_start_and_warm_t0():
+def test_barrier_pack_infeasible_start():
     rng = np.random.default_rng(12)
     prog, center, _ = qcqp_fixture(rng)
-    packed = _packed(prog)
     with pytest.raises(ConvexSolverError, match="infeasible start"):
-        solve_convex_program(packed, center + 100.0)
-    x_cold = solve_convex_program(packed, center, tol=1e-9)
-    x_warm = solve_convex_program(packed, x_cold, tol=1e-9, t0=1e6)
-    assert np.allclose(x_cold, x_warm, atol=1e-6)
-    assert prog.objective(x_warm)[0] <= prog.objective(x_cold)[0] + 1e-9
+        solve_convex_program(_packed(prog), center + 100.0)
 
 
 def test_barrier_rejects_both_constraint_styles():

@@ -24,8 +24,7 @@ from aris_emf.harness import (
     trajectory_report,
     xy_table,
 )
-from aris_emf.orchestrator import (baseline_fixed_ris, baseline_no_ris,
-                                   baseline_unoptimized_phases, run_ao)
+from aris_emf.orchestrator import baseline_fixed_ris, baseline_no_ris, run_ao
 from aris_emf.scenario import desk_scenario, save_scenario, scenario_with
 from oracles import fingerprint
 
@@ -111,7 +110,7 @@ def solved_alone(scheme, trial):
         return baseline_fixed_ris(DESK, **args).exposure_index
     if scheme == "no-ris":
         return baseline_no_ris(DESK, **args).exposure_index
-    return baseline_unoptimized_phases(DESK, scheme, **args).exposure_index
+    return run_ao(DESK, phase_mode=scheme, label=scheme, **args)[1].exposure_index
 
 
 @pytest.mark.parametrize("schemes", [SCHEMES, ("fixed",)], ids=["all", "fixed-alone"])

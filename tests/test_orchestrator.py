@@ -1,6 +1,7 @@
 """Alternating-optimization loop: initialization, safeguarded descent,
 feasibility audits, and the benchmark schemes."""
 
+import dataclasses
 import os
 import tracemalloc
 import warnings
@@ -21,8 +22,8 @@ from aris_emf.orchestrator import (
     _trajectory_field,
     baseline_fixed_ris,
     baseline_no_ris,
-    baseline_unoptimized_phases,
     initialize_state,
+    march_path,
     run_ao,
 )
 from aris_emf.channel import STREAM_GR, ChannelSet, rng_stream, slot_groups
@@ -149,6 +150,30 @@ def test_run_starts_from_the_straight_line_initialization():
 
 
 @pytest.mark.slow
+def test_a_given_straight_path_runs_as_the_default_start():
+    sc = desk_scenario()
+    a, ra = run_ao(sc, trial=1, eps=MC_EPS, knobs=MC_KNOBS)
+    b, rb = run_ao(sc, trial=1, eps=MC_EPS, knobs=MC_KNOBS, path=straight_path(sc))
+    assert repr(ra.exposure_index) == repr(rb.exposure_index)
+    for x, y in ((ra.per_user_exposure, rb.per_user_exposure),
+                 (ra.achieved_rates, rb.achieved_rates), (a.trajectory, b.trajectory)):
+        assert x.tobytes() == y.tobytes()
+    assert a.trace == b.trace
+
+
+def test_with_the_path_block_off_a_given_march_path_is_kept():
+    sc = desk_scenario()
+    p = sc.params
+    march = march_path(sc.aris_start, [0.0, 0.0, p.aris_height], p.max_slot_distance,
+                       p.num_slots)
+    assert not np.array_equal(march, straight_path(sc))
+    pinned = dataclasses.replace(sc, aris_start=march[0], aris_end=march[-1])
+    state, _ = run_ao(pinned, trial=0, eps=MC_EPS, knobs=MC_KNOBS,
+                      enable_trajectory=False, path=march.copy())
+    np.testing.assert_array_equal(state.trajectory, march)
+    assert state.audit()
+
+
 def test_logged_block_deltas_are_never_positive():
     sc = desk_scenario()
     block_names = {"beams", "phases", "allocation", "power", "trajectory"}
@@ -338,7 +363,7 @@ def test_a_zero_gain_link_marks_only_its_slot_unusable(monkeypatch):
     monkeypatch.setattr(state.channels, "effective", with_a_dead_link)
     calls = counting_beam_searches(monkeypatch)
     ok, got = _block_beams(state, check_caps=True)
-    assert calls == [l.size] + [8] * sc.num_slots   # the group, then slot by slot
+    assert calls == [l.size]
     assert not ok[3]
     assert state.counters["beam_unusable"] == 1
     for ell in set(range(sc.num_slots)) - {3}:
@@ -468,21 +493,21 @@ def test_fixed_ris_beats_direct_trajectory_at_desk_scale():
 
 def test_zero_phase_baseline_is_deterministic():
     sc = desk_scenario()
-    a = baseline_unoptimized_phases(sc, "zero", trial=0, eps=1e-2, knobs=FAST)
-    b = baseline_unoptimized_phases(sc, "zero", trial=0, eps=1e-2, knobs=FAST)
+    a = run_ao(sc, trial=0, eps=1e-2, knobs=FAST, phase_mode="zero", label="zero")[1]
+    b = run_ao(sc, trial=0, eps=1e-2, knobs=FAST, phase_mode="zero", label="zero")[1]
     assert a.exposure_index == b.exposure_index
 
 
 def test_random_phase_baseline_is_reproducible():
     sc = desk_scenario()
-    a = baseline_unoptimized_phases(sc, "random", trial=2, eps=1e-2, knobs=FAST)
-    b = baseline_unoptimized_phases(sc, "random", trial=2, eps=1e-2, knobs=FAST)
+    a = run_ao(sc, trial=2, eps=1e-2, knobs=FAST, phase_mode="random", label="random")[1]
+    b = run_ao(sc, trial=2, eps=1e-2, knobs=FAST, phase_mode="random", label="random")[1]
     assert a.exposure_index == b.exposure_index
 
 
 def test_unoptimized_phase_mode_is_validated():
     with pytest.raises(ValueError):
-        baseline_unoptimized_phases(desk_scenario(), "fancy")
+        run_ao(desk_scenario(), phase_mode="fancy", label="fancy")[1]
 
 
 def test_schemes_share_channel_realizations_per_trial():
@@ -500,8 +525,8 @@ def test_optimized_beats_unoptimized_benchmarks_on_most_trials():
     trials = range(5)
     for trial in trials:
         opt, _ = run_ao(sc, trial=trial, eps=1e-2, knobs=FAST)
-        rnd = baseline_unoptimized_phases(sc, "random", trial=trial, eps=1e-2,
-                                          knobs=FAST)
+        rnd = run_ao(sc, trial=trial, eps=1e-2, knobs=FAST, phase_mode="random",
+                     label="random")[1]
         bare = baseline_no_ris(sc, trial=trial, eps=1e-2, knobs=FAST)
         wins_random += opt.exposure() <= rnd.exposure_index
         wins_noris += opt.exposure() <= bare.exposure_index
