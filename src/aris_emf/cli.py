@@ -7,12 +7,8 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .exposure import InfeasibleError
 from .harness import (
-    MC_EPS,
-    MC_KNOBS,
     SCHEMES,
     SWEEPABLE,
     SweepSpec,

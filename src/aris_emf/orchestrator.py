@@ -109,7 +109,7 @@ class SolutionState:
     thetas: np.ndarray
     trace: list = field(default_factory=list)
     counters: dict = field(default_factory=lambda: dict.fromkeys(
-        ("phase_calls", "sca_iters", "beam_links", "beam_unusable",
+        ("phase_calls", "phase_steps", "sca_iters", "beam_links", "beam_unusable",
          "power_fallbacks", "path_fallbacks"), 0))
 
     def per_user_exposure(self):
@@ -288,7 +288,8 @@ def _block_phases(state, rngs, check_caps):
         beams = state.beams[ell, u, n]
         cascade, direct = state.channels.cascade_and_direct(ell, n, u, beam_vector(beams))
         theta = optimize_phases(cascade, direct, np.ones(u.size), weight[ell, u, n],
-                                PhaseShiftVector(state.thetas[ell]), rngs[ell]).values
+                                PhaseShiftVector(state.thetas[ell]), rngs[ell],
+                                counters=state.counters).values
         state.counters["phase_calls"] += 1
         if not np.allclose(theta, state.thetas[ell], rtol=0, atol=1e-15):
             thetas[ell] = theta

@@ -12,10 +12,16 @@ maximizer of that linearization is the elementwise phase of
 C^H (w (C theta + d)).  That step lowers the sum of ratios when one link
 dominates, but it can overshoot when links pull apart, so a step is kept
 only if the true objective does not rise, and a rejected step is retried
-with a proximal term mu theta that shortens it.  Several starts ascend
-together as the columns of one matrix, so a step is two matrix products of
-the stacked active cascades.  theta0 is returned unless some column beats
-it, so the outer loop is monotone by construction.
+with a proximal term mu theta that shortens it.  Each column is accelerated
+by squared extrapolation (SQUAREM; Varadhan & Roland, Scand. J. Statist.
+2008): after two kept plain steps theta0 -> theta1 -> theta2 it tries the
+longer step theta0 - 2 alpha r + alpha^2 v, with r = theta1 - theta0,
+v = theta2 - 2 theta1 + theta0 and alpha = -||r|| / ||v|| clamped to at
+most -1, projected back to unit modulus and kept only if it lowers the
+objective.  Several starts ascend together as the columns
+of one matrix, so a step is two matrix products of the stacked active
+cascades.  theta0 is returned unless some column beats it, so the outer loop
+is monotone by construction.
 
 `solve_relaxation` (the unit-diagonal SDP relaxation of one round's lifted
 quadratic form) and `gaussian_randomization` (its rounding to unit modulus)
@@ -139,7 +145,7 @@ def gaussian_randomization(theta_bar, r_mat, i_gr, rng):
     return PhaseShiftVector(theta[int(np.argmax(scores))])
 
 
-def optimize_phases(cascade, direct, delta, c_un, theta0, rng):
+def optimize_phases(cascade, direct, delta, c_un, theta0, rng, counters=None):
     """Batched minorization-maximization ascent on one slot's proxy exposure.
 
     cascade: (U, N_c, M_r, N) per-link reflected-path matrices; direct:
@@ -155,6 +161,17 @@ def optimize_phases(cascade, direct, delta, c_un, theta0, rng):
     column stops when a kept step lowers its value by no more than MM_TOL
     relative, when its damping passes MM_MAX_DAMP, or after MM_STEPS steps;
     after RESTART_STEPS steps only the warm column and the best one go on.
+
+    Squared extrapolation: a cycle opens at a column's current point theta0
+    and closes after two kept steps in a row at mu = 0, theta0 -> theta1 ->
+    theta2, when the second did not stop the column.  With r = theta1 -
+    theta0, v = theta2 - 2 theta1 + theta0 and alpha = -||r|| / ||v||
+    clamped to alpha <= -1 (alpha = -1 when v = 0, which gives theta2
+    itself), the point x = exp(j angle(theta0 - 2 alpha r + alpha^2 v)) is
+    evaluated for all closing columns at once and replaces theta2 only if its
+    value is strictly lower; the next cycle opens at the column's point.
+    counters, when a dict, has its "phase_steps" entry raised by the number
+    of column evaluations, plain and extrapolated.
     Returns the best column if it beats theta0's proxy exposure, else theta0.
     """
     delta = np.asarray(delta, dtype=float)
@@ -191,6 +208,9 @@ def optimize_phases(cascade, direct, delta, c_un, theta0, rng):
     start_val = vals[0]
     active = np.isfinite(vals)
     damp = np.zeros(thetas.shape[1])
+    # each column's cycle start theta0, and whether it has reached theta1
+    base, midway = thetas.copy(), np.zeros(thetas.shape[1], dtype=bool)
+    evals = 0
     for step in range(MM_STEPS):
         if step == RESTART_STEPS:
             active[1:] &= np.arange(1, thetas.shape[1]) == np.argmin(vals)
@@ -206,6 +226,31 @@ def optimize_phases(cascade, direct, delta, c_un, theta0, rng):
             cand_e, cand_g, cand_vals = evaluate(cand)
             keep = cand_vals <= vals[cols]
             gain = vals[cols] - cand_vals > MM_TOL * vals[cols]
+        evals += cols.size
+        plain, was_midway = keep & (damp[cols] == 0), midway[cols]
+        midway[cols] = opens = plain & ~was_midway
+        base[:, cols[opens]] = thetas[:, cols[opens]]
+        closes = np.flatnonzero(plain & was_midway & gain)
+        if closes.size:
+            # squared extrapolation from the cycle theta0 -> theta1 -> theta2 = cand;
+            # alpha = -1 would give theta2 itself, so only longer ones are tried
+            sq = cols[closes]
+            theta1 = thetas[:, sq]
+            r = theta1 - base[:, sq]
+            v = cand[:, closes] - theta1 - r
+            rr, vv = (r * r.conj()).real.sum(axis=0), (v * v.conj()).real.sum(axis=0)
+            ratio = rr / np.where(vv > 0, vv, np.inf)  # alpha^2, read as 0 when v = 0
+            far = ratio > 1.0
+            if far.any():
+                closes, sq, r, v = closes[far], sq[far], r[:, far], v[:, far]
+                alpha = -np.sqrt(ratio[far])
+                x = np.exp(1j * np.angle(base[:, sq] - 2.0 * alpha * r + alpha ** 2 * v))
+                x_e, x_g, x_vals = evaluate(x)
+                evals += sq.size
+                better = x_vals < cand_vals[closes]
+                at = closes[better]
+                cand[:, at], cand_e[:, at] = x[:, better], x_e[:, better]
+                cand_g[:, at], cand_vals[at] = x_g[:, better], x_vals[better]
         kept = cols[keep]
         thetas[:, kept] = cand[:, keep]
         e[:, kept] = cand_e[:, keep]
@@ -213,6 +258,8 @@ def optimize_phases(cascade, direct, delta, c_un, theta0, rng):
         vals[kept] = cand_vals[keep]
         damp[cols] = np.where(keep, 0.5 * damp[cols], np.maximum(2.0 * damp[cols], 1.0))
         active[cols] = np.where(keep, gain, damp[cols] <= MM_MAX_DAMP)
+    if counters is not None:
+        counters["phase_steps"] += evals
     best = int(np.argmin(vals))
     if vals[best] < start_val:
         theta = thetas[:, best]

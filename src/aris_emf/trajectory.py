@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .convex_kernels import ConvexProgram, ConvexSolverError, solve_convex_program
-from .exposure import InfeasibleError
 from .ris_phase import quad_transform_y
 
 # A state's slacks, the tangent points of its next subproblem, sit SLACK_LIFT

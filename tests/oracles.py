@@ -6,7 +6,8 @@ lazy ones must reproduce bit for bit; `min_power_for_rate` and
 `solve_multipliers` state the single-link power inversion and one user's
 power multipliers as the tests check them against the power block;
 `slot_major_sweep` runs the AO's blocks slot by slot, the order the
-block-major sweep must reproduce.
+block-major sweep must reproduce; `plain_phase_ascent` is the phase ascent
+without squared extrapolation, the reference the accelerated one must match.
 """
 
 import copy
@@ -19,6 +20,8 @@ from aris_emf.channel import TWO_PI
 from aris_emf.exposure import InfeasibleError, power_factor
 from aris_emf.orchestrator import _block_beams, _block_phases, _block_power
 from aris_emf.power_control import _solve
+from aris_emf.ris_phase import (MM_MAX_DAMP, MM_RESTARTS, MM_STEPS, MM_TOL, RESTART_STEPS,
+                                PhaseShiftVector, quad_transform_y)
 
 
 def fingerprint(channel_set):
@@ -116,3 +119,65 @@ def slot_major_sweep(state, phase_rngs, tune_phases, check_caps):
             offer(ell, "phases", *_block_phases(state, rngs, check_caps),
                   ("thetas", "gamma", "powers"))
         offer(ell, "power", *_block_power(state), ("delta", "shares", "powers"))
+
+
+def plain_phase_ascent(cascade, direct, delta, c_un, theta0, rng, counters=None):
+    """`ris_phase.optimize_phases` with plain, damped MM steps only: the same
+    columns, safeguard, damping and stop tests, and no extrapolation.
+    counters["phase_steps"] gains its column evaluations."""
+    delta = np.asarray(delta, dtype=float)
+    theta = np.asarray(getattr(theta0, "values", theta0), dtype=complex)
+    n = np.shape(cascade)[-1]
+    mask = delta > 0
+    if n == 0 or not np.any(mask):
+        return PhaseShiftVector(theta)
+    cascade = np.asarray(cascade)[mask]
+    links, m_r = cascade.shape[:2]
+    flat = cascade.reshape(-1, n)
+    flat_h = flat.conj().T
+    d = np.asarray(direct)[mask].reshape(-1, 1)
+    a = delta[mask] * np.asarray(c_un, dtype=float)[mask] ** 2
+    live = a > 0
+
+    def evaluate(phases):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            e = flat @ phases + d
+            g = np.sum((e.real ** 2 + e.imag ** 2).reshape(links, m_r, -1), axis=1)
+            vals = np.sum(np.where(live[:, None], a[:, None] / g, 0.0), axis=0)
+        return e, g, np.where(np.isnan(vals), np.inf, vals)
+
+    starts = np.exp(2j * np.pi * rng.random((n, MM_RESTARTS)))
+    thetas = np.concatenate([theta[:, None], starts], axis=1)
+    e, g, vals = evaluate(thetas)
+    quad_transform_y(a, g[:, 0])
+    start_val = vals[0]
+    active = np.isfinite(vals)
+    damp = np.zeros(thetas.shape[1])
+    for step in range(MM_STEPS):
+        if step == RESTART_STEPS:
+            active[1:] &= np.arange(1, thetas.shape[1]) == np.argmin(vals)
+        cols = np.flatnonzero(active)
+        if cols.size == 0:
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w = np.repeat(np.where(live[:, None], a[:, None] / g[:, cols] ** 2, 0.0),
+                          m_r, axis=0)
+            grad = flat_h @ (w * e[:, cols])
+            mu = damp[cols] * np.max(np.abs(grad), axis=0)
+            cand = np.exp(1j * np.angle(grad + mu * thetas[:, cols]))
+            cand_e, cand_g, cand_vals = evaluate(cand)
+            keep = cand_vals <= vals[cols]
+            gain = vals[cols] - cand_vals > MM_TOL * vals[cols]
+        if counters is not None:
+            counters["phase_steps"] += cols.size
+        kept = cols[keep]
+        thetas[:, kept] = cand[:, keep]
+        e[:, kept] = cand_e[:, keep]
+        g[:, kept] = cand_g[:, keep]
+        vals[kept] = cand_vals[keep]
+        damp[cols] = np.where(keep, 0.5 * damp[cols], np.maximum(2.0 * damp[cols], 1.0))
+        active[cols] = np.where(keep, gain, damp[cols] <= MM_MAX_DAMP)
+    best = int(np.argmin(vals))
+    if vals[best] < start_val:
+        theta = thetas[:, best]
+    return PhaseShiftVector(theta)

@@ -198,6 +198,7 @@ def test_counters_track_inner_solver_work():
     state, _ = run_ao(sc, trial=0, eps=1e-2, knobs=FAST)
     assert state.counters["beam_links"] > 0
     assert state.counters["phase_calls"] > 0
+    assert state.counters["phase_steps"] >= state.counters["phase_calls"]
     assert state.counters["sca_iters"] > 0
 
 
