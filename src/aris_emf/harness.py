@@ -20,8 +20,7 @@ from .orchestrator import (
     AoKnobs,
     baseline_fixed_ris,
     baseline_no_ris,
-    fixed_position_search,
-    march_path,
+    hover_path,
     run_ao,
 )
 from .scenario import scenario_with
@@ -235,10 +234,7 @@ def trajectory_report(scenario, trial=0, eps=MC_EPS, knobs=MC_KNOBS):
                       channel_set=channel_set)
     direct = straight_trajectory(scenario.aris_start, scenario.aris_end,
                                  p.num_slots).points
-    hover_xy = fixed_position_search(scenario, trial=trial, channel_set=channel_set)
-    hover = np.array([hover_xy[0], hover_xy[1], p.aris_height])
-    fixed = march_path(scenario.aris_start, hover, p.max_slot_distance,
-                       p.num_slots)
+    fixed, _ = hover_path(scenario, trial=trial, channel_set=channel_set)
     rows = []
     for name, path in (("optimized", state.trajectory), ("direct", direct),
                        ("fixed", fixed)):

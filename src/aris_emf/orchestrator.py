@@ -6,11 +6,11 @@ the start path's distances; the power block may later drop an element whose
 water-filled power is zero.  One outer iteration runs the transmit beams,
 then the surface phases, then the transmit powers, each block once over all
 slots, and then refines the flight path across slots.  Each block proposes a
-candidate per slot, and `_accept` keeps it exactly when that slot's own
-exposure sum does not rise (in the main loop the slot's power caps must also
-hold).  The index sums the slot sums first, so the exposure trace is
-non-increasing by construction, in floating point too.  This block-major
-order makes the decisions of a slot-by-slot sweep: a block's inputs and
+candidate per slot, and `_accept` is the one judge: a slot takes its
+candidate exactly when its own exposure sum does not rise and every user in
+it stays within the power cap.  The index sums the slot sums first, so the
+exposure trace is non-increasing by construction, in floating point too.
+This block-major order makes the decisions of a slot-by-slot sweep: a block's inputs and
 outputs at slot ell are slot ell's rows, every cap is per slot, and the index
 is a plain sum over slots.  Only near-ties differ, where a candidate moves
 its slot sum by about an ulp and the slot-by-slot total rounds the other way.
@@ -238,14 +238,14 @@ def initialize_state(scenario, channel_set, path):
     return state
 
 
-def _block_beams(state, check_caps):
+def _block_beams(state):
     """Ratio-minimizing beams of every slot's active links; each link keeps
     its incumbent unless the new beam's ratio is no worse.  One search per
     slot group (`channel.slot_groups`) bounds the (links, phases) work
     arrays; a slot with a link that no beam gives positive gain (infinite
-    ratio) is unusable.  Returns (usable, (beams, gamma, sar, powers)): the
-    (N_T,) mask of slots whose every link found a usable beam, and the
-    candidate arrays.
+    ratio) is unusable.  Returns (usable, cand): the (N_T,) mask of slots
+    whose every link found a usable beam, and the candidate beams, gamma,
+    sar and powers by field name.
     """
     sc = state.scenario
     p = sc.params
@@ -271,17 +271,16 @@ def _block_beams(state, check_caps):
     l, u, n = l[take], u[take], n[take]
     beams, gamma, sar = (arr.copy() for arr in (state.beams, state.gamma, state.sar))
     beams[l, u, n], gamma[l, u, n], sar[l, u, n] = found[take], new_gain[take], new_sar[take]
-    powers = _equality_powers(state, gamma)
-    if check_caps:
-        usable &= _caps_ok(powers, p.p_max)
-    return usable, (beams, gamma, sar, powers)
+    return usable, dict(beams=beams, gamma=gamma, sar=sar, powers=_equality_powers(state, gamma))
 
 
-def _block_phases(state, rngs, check_caps):
+def _block_phases(state, rngs):
     """Surface-phase refinement of every slot, one ascent per slot with that
-    slot's generator; returns (changed, (thetas, gamma, powers))."""
+    slot's generator; returns (changed, cand), cand holding thetas, gamma and
+    powers by field name."""
     p = state.scenario.params
     thetas, gamma = state.thetas.copy(), state.gamma.copy()
+    changed = np.zeros(p.num_slots, dtype=bool)
     weight = _exposure_weight(state)
     for ell in range(p.num_slots):
         u, n = np.nonzero(state.delta[ell])
@@ -291,20 +290,18 @@ def _block_phases(state, rngs, check_caps):
                                 PhaseShiftVector(state.thetas[ell]), rngs[ell],
                                 counters=state.counters).values
         state.counters["phase_calls"] += 1
-        if not np.allclose(theta, state.thetas[ell], rtol=0, atol=1e-15):
+        changed[ell] = not np.array_equal(theta, state.thetas[ell])
+        if changed[ell]:
             thetas[ell] = theta
             gamma[ell, u, n] = channel_gain(state.channels.effective(ell, n, u, theta), beams)
-    changed = np.any(thetas != state.thetas, axis=1)
-    powers = _equality_powers(state, gamma)
-    if check_caps:
-        changed &= _caps_ok(powers, p.p_max)
-    return changed, (thetas, gamma, powers)
+    return changed, dict(thetas=thetas, gamma=gamma, powers=_equality_powers(state, gamma))
 
 
 def _block_power(state):
     """Water-filling for every (slot, user) row in one call: returns (ok,
-    (delta, shares, powers)) without the elements left dark.  When the call
-    fails, every slot keeps its incumbent and the fallback is counted."""
+    cand), cand holding delta (without the elements left dark), shares and
+    powers by field name.  When the call fails, cand is empty, so every slot
+    keeps its incumbent, and the fallback is counted."""
     p = state.scenario.params
     targets = np.broadcast_to(state.scenario.rate_targets, state.delta.shape[:2])
     try:
@@ -312,22 +309,18 @@ def _block_power(state):
                                        p.p_max, p.noise_per_re, p.bandwidth_per_re)
     except (InfeasibleError, ArithmeticError):
         state.counters["power_fallbacks"] += 1
-        return np.zeros(p.num_slots, dtype=bool), ()
+        return np.zeros(p.num_slots, dtype=bool), {}
     delta = np.where(alloc.powers > 0, state.delta, 0.0)
-    return np.ones(p.num_slots, dtype=bool), (delta, shares, alloc.powers)
+    return np.ones(p.num_slots, dtype=bool), dict(delta=delta, shares=shares, powers=alloc.powers)
 
 
-def _sweep_slots(state, phase_rngs, tune_phases, check_caps):
-    """Beams, then phases (when tuned), then powers, each over all slots and
-    accepted slot by slot.  check_caps makes the beam and phase blocks reject
-    a candidate that breaks a power cap; without it the caller restores the
-    caps itself."""
-    _accept(state, "beams", *_block_beams(state, check_caps),
-            ("beams", "gamma", "sar", "powers"))
-    if tune_phases:
-        _accept(state, "phases", *_block_phases(state, phase_rngs, check_caps),
-                ("thetas", "gamma", "powers"))
-    _accept(state, "power", *_block_power(state), ("delta", "shares", "powers"))
+def _sweep_slots(state, phase_rngs):
+    """Beams, then phases (unless phase_rngs is None: the phases are
+    pinned), then powers, each over all slots and accepted slot by slot."""
+    _accept(state, "beams", *_block_beams(state))
+    if phase_rngs is not None:
+        _accept(state, "phases", *_block_phases(state, phase_rngs))
+    _accept(state, "power", *_block_power(state))
 
 
 def _trajectory_field(state):
@@ -353,31 +346,28 @@ def _trajectory_field(state):
     return GainField(state.delta.copy(), _exposure_weight(state), a_un, b_un, resid, k1, k2)
 
 
-def _block_trajectory(state, phase_rngs, tune_phases):
-    """Flight-path refinement; returns a complete candidate state or None.
+def _block_trajectory(state, phase_rngs, outer):
+    """Flight-path refinement of outer iteration `outer`, accepted in place.
 
     Moving the platform rotates every line-of-sight direction, so beams and
     phases tuned for the old geometry misalign at the new one.  The
     candidate therefore re-realizes the channels at the moved path (new
     geometry only: the fading draws stay shared with the incumbent) and
-    re-runs the slot sweep before it is scored against the incumbent;
-    acceptance stays a pure exposure comparison in the caller.  Pinned
-    phases stay pinned across moves.
+    re-runs the slot sweep, pinned phases staying pinned.  It replaces the
+    incumbent, logging a `trajectory` event, exactly when every power cap
+    holds and the exposure index does not rise.
     """
     sc = state.scenario
     p = sc.params
     if p.num_slots <= 2 or p.num_ris_elements == 0:
-        return None
-    field_ = _trajectory_field(state)
-    history = []
+        return
     new_traj = optimize_trajectory(
-        state.trajectory, field_, sc.user_positions, sc.bs_position,
+        state.trajectory, _trajectory_field(state), sc.user_positions, sc.bs_position,
         p.max_slot_distance, max_x_rounds=TRAJ_X_ROUNDS,
         max_sca_iters=TRAJ_SCA_ITERS, barrier_tol=TRAJ_BARRIER_TOL,
-        history=history, counters=state.counters)
-    state.counters["sca_iters"] += max(len(history) - 1, 0)
+        counters=state.counters)
     if np.allclose(new_traj.points, state.trajectory, rtol=0, atol=1e-12):
-        return None
+        return
     # a scratch state sharing scenario and counters, with copied arrays
     cand = dataclasses.replace(
         state, trajectory=new_traj.points, trace=[],
@@ -386,13 +376,16 @@ def _block_trajectory(state, phase_rngs, tune_phases):
     try:
         _refresh(cand)
     except InfeasibleError:
-        return None
-    # re-tune geometry-sensitive blocks at the new path (safeguarded on the
-    # candidate's own exposure, caps restored by the power block)
-    _sweep_slots(cand, phase_rngs, tune_phases, check_caps=False)
+        return
+    _sweep_slots(cand, phase_rngs)
+    # a failed power call leaves the moved start's caps untested
     if not _caps_ok(cand.powers, p.p_max).all():
-        return None
-    return cand
+        return
+    current, moved = state.exposure(), cand.exposure()
+    if moved <= current:
+        for fname in ("channels", "trajectory") + SLOT_ARRAYS:
+            setattr(state, fname, getattr(cand, fname))
+        state.trace.append({"event": "trajectory", "outer": outer, "delta": moved - current})
 
 
 def run_ao(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
@@ -429,27 +422,20 @@ def run_ao(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
         _refresh(state)
         if not _caps_ok(state.powers, p.p_max).all():
             raise InfeasibleError("random-phase start exceeds the power cap")
-    tune_phases = phase_mode == "optimized" and p.num_ris_elements > 0
-    phase_rngs = [rng_stream(scenario.rng_seed, trial, ell, 0, STREAM_GR)
-                  for ell in range(p.num_slots)]
+    phase_rngs = None
+    if phase_mode == "optimized" and p.num_ris_elements > 0:
+        phase_rngs = [rng_stream(scenario.rng_seed, trial, ell, 0, STREAM_GR)
+                      for ell in range(p.num_slots)]
     path_outers = (knobs or AoKnobs()).traj_outers if enable_trajectory else 0
 
     current = state.exposure()
     state.trace.append({"event": "init", "exposure": current})
     for outer in range(max_outer):
         start_exposure = current
-        _sweep_slots(state, phase_rngs, tune_phases, check_caps=True)
-        current = state.exposure()
+        _sweep_slots(state, phase_rngs)
         if outer < path_outers:
-            cand = _block_trajectory(state, phase_rngs, tune_phases)
-            if cand is not None:
-                candidate_exposure = cand.exposure()
-                if candidate_exposure <= current:
-                    for fname in ("channels", "trajectory") + SLOT_ARRAYS:
-                        setattr(state, fname, getattr(cand, fname))
-                    state.trace.append({"event": "trajectory", "outer": outer,
-                                        "delta": candidate_exposure - current})
-                    current = candidate_exposure
+            _block_trajectory(state, phase_rngs, outer)
+        current = state.exposure()
         state.audit()
         state.trace.append({"event": "outer", "outer": outer, "exposure": current})
         if abs(start_exposure - current) <= eps * max(start_exposure, 1e-300):
@@ -457,16 +443,21 @@ def run_ao(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
     return state, state.report(label)
 
 
-def _accept(state, name, ok, cand, fields):
-    """Safeguarded replacement of a block's candidate slots: each slot in the
-    (N_T,) mask ok takes its candidate rows exactly when its own exposure sum
-    does not rise, and the others keep the incumbent.  The index sums slot
-    sums first (`exposure.exposure_index`), so it cannot rise either.  One
-    trace event is logged per kept slot, its delta in index units."""
-    rows = np.flatnonzero(ok)
+def _accept(state, name, ok, cand):
+    """The one per-slot judge of the alternating loop: each slot in the (N_T,)
+    mask ok takes its rows of cand, a {state field: (N_T, ...) candidate}
+    dict with powers (empty when the block failed), exactly when its own
+    exposure sum does not rise and its users keep within p_max (1 +
+    CAP_SLACK).  The index sums slot sums first (`exposure.exposure_index`),
+    so it cannot rise either.  One trace event is logged per kept slot, its
+    delta in index units."""
+    if not cand:
+        return
+    p = state.scenario.params
+    rows = np.flatnonzero(ok & _caps_ok(cand["powers"], p.p_max))
     before = state.per_user_exposure().sum(axis=0)
     saved = {}
-    for fname, value in zip(fields, cand):
+    for fname, value in cand.items():
         arr = getattr(state, fname)
         saved[fname] = arr[rows]
         arr[rows] = value[rows]
@@ -474,7 +465,6 @@ def _accept(state, name, ok, cand, fields):
     keep = gain[rows] <= 0.0
     for fname, old in saved.items():
         getattr(state, fname)[rows[~keep]] = old[~keep]
-    p = state.scenario.params
     scale = p.slot_duration / (p.num_slots * p.num_users)
     for ell in rows[keep]:
         state.trace.append({"event": name, "slot": int(ell), "delta": scale * gain[ell]})
@@ -515,9 +505,12 @@ def _hover_exposure(scenario, channel_set, position):
 
 
 def fixed_position_search(scenario, trial=0, channel_set=None):
-    """Divide-and-conquer hover-point search: probe a 3x3 stencil of the
-    current radius, recenter on the best, halve, stop below
-    HOVER_RESOLUTION.
+    """Divide-and-conquer hover-point search over the eight offsets of a 3x3
+    stencil at the current radius.  The center moves as soon as one probe
+    improves on the best value, in the middle of a stencil, so the stencil's
+    later offsets are taken from the new center.  A stencil that moves the
+    center is followed by another at the same radius; one that does not
+    halves the radius, and the search stops below HOVER_RESOLUTION.
     Each distinct point is probed once (stencils overlap, on exact dyadic
     fractions of the radius), its value then remembered."""
     if channel_set is None:
@@ -562,6 +555,15 @@ def march_path(start, target, d_max, num_slots):
     return np.asarray(points)
 
 
+def hover_path(scenario, trial=0, channel_set=None):
+    """(path, hover): the fixed scheme's (N_T, 3) march from the start toward
+    the hover point of `fixed_position_search`, lifted to aris_height."""
+    p = scenario.params
+    hover = np.append(fixed_position_search(scenario, trial=trial, channel_set=channel_set),
+                      p.aris_height)
+    return march_path(scenario.aris_start, hover, p.max_slot_distance, p.num_slots), hover
+
+
 def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
                        channel_set=None, direct=None):
     """Surface hovering at a recursively chosen spot; slots spent flying
@@ -578,11 +580,7 @@ def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
     p = scenario.params
     if channel_set is None:
         channel_set = ChannelSet(scenario, trial)
-    hover_xy = fixed_position_search(scenario, trial=trial,
-                                     channel_set=channel_set)
-    hover = np.array([hover_xy[0], hover_xy[1], p.aris_height])
-    path = march_path(scenario.aris_start, hover, p.max_slot_distance,
-                      p.num_slots)
+    path, hover = hover_path(scenario, trial=trial, channel_set=channel_set)
     travel = ~np.all(np.isclose(path, hover[None, :]), axis=1)
 
     pinned = dataclasses.replace(scenario, aris_start=path[0], aris_end=path[-1])

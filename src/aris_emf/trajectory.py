@@ -334,19 +334,20 @@ def optimize_trajectory(points, gain_field, user_positions, bs_position, max_ste
 
     points: (N_T, 3) current waypoints (endpoints treated as pinned).
     history, when a list, collects the frozen-fading proxy after every
-    accepted inner iteration.  counters, when a dict, has its
-    "path_fallbacks" entry raised by one for every subproblem whose solve
-    failed (sca_step warns and keeps the waypoints).  Returns a Trajectory
+    accepted inner iteration.  counters, when a dict, has its "sca_iters"
+    entry raised by one for every accepted inner iteration and its
+    "path_fallbacks" entry for every subproblem whose solve failed
+    (sca_step warns and keeps the waypoints).  Returns a Trajectory
     that never scores worse than the input on the frozen-fading proxy.
     """
     state = make_sca_state(points, gain_field, user_positions, bs_position)
     if history is not None:
         history.append(state.objective)
-    x_prev = None
+    x_aux, x_prev = state.x_aux, None  # the first round keeps the start's weights
     for _ in range(max_x_rounds):
-        x_aux = gain_field.weights(*link_distances(state.points, user_positions,
-                                                   bs_position))
         if x_prev is not None:
+            x_aux = gain_field.weights(*link_distances(state.points, user_positions,
+                                                       bs_position))
             drift = float(np.linalg.norm(x_aux - x_prev))
             if drift <= eps5 * max(1e-300, float(np.linalg.norm(x_prev))):
                 break
@@ -367,6 +368,8 @@ def optimize_trajectory(points, gain_field, user_positions, bs_position, max_ste
                 break  # surrogate descent did not carry to the true proxy
             moved = float(np.max(np.abs(new_state.points - state.points)))
             state = new_state
+            if counters is not None:
+                counters["sca_iters"] += 1
             if history is not None:
                 history.append(state.objective)
             if moved <= 1e-9 or prev - state.objective <= 1e-6 * prev:

@@ -18,7 +18,7 @@ import numpy as np
 
 from aris_emf.channel import TWO_PI
 from aris_emf.exposure import InfeasibleError, power_factor
-from aris_emf.orchestrator import _block_beams, _block_phases, _block_power
+from aris_emf.orchestrator import CAP_SLACK, _block_beams, _block_phases, _block_power
 from aris_emf.power_control import _solve
 from aris_emf.ris_phase import (MM_MAX_DAMP, MM_RESTARTS, MM_STEPS, MM_TOL, RESTART_STEPS,
                                 PhaseShiftVector, quad_transform_y)
@@ -85,21 +85,26 @@ def solve_multipliers(gamma, sar, rate_target, p_max, sigma2, w):
     return mu, lam
 
 
-def slot_major_sweep(state, phase_rngs, tune_phases, check_caps):
-    """`orchestrator._sweep_slots` in the per-slot order: beams, phases and
-    power of slot 0, then of slot 1, and so on, each slot's candidate kept
-    when the whole exposure index does not rise.
+def slot_major_sweep(state, phase_rngs):
+    """`orchestrator._sweep_slots` in the per-slot order: beams, phases
+    (unless phase_rngs is None) and power of slot 0, then of slot 1, and so
+    on, each slot's candidate kept when its users keep within the power cap
+    and the whole exposure index does not rise.
 
     Every block runs over all slots and only slot ell's rows are offered; the
     other slots' phase ascents draw from copies of their generators, so each
     slot's stream advances once per sweep, as in the AO.
     """
-    def offer(ell, name, ok, cand, fields):
-        if not ok[ell]:
+    p_max = state.scenario.params.p_max
+
+    def offer(ell, name, ok, cand):
+        if not (cand and ok[ell]):
+            return
+        if np.any(cand["powers"][ell].sum(axis=-1) > p_max * (1.0 + CAP_SLACK)):
             return
         current = state.exposure()
         saved = {}
-        for fname, value in zip(fields, cand):
+        for fname, value in cand.items():
             arr = getattr(state, fname)
             saved[fname] = arr[ell].copy()
             arr[ell] = value[ell]
@@ -110,15 +115,14 @@ def slot_major_sweep(state, phase_rngs, tune_phases, check_caps):
         for fname, old in saved.items():
             getattr(state, fname)[ell] = old
 
-    beams = _block_beams(state, check_caps)
+    beams = _block_beams(state)
     for ell in range(state.scenario.params.num_slots):
-        offer(ell, "beams", *beams, ("beams", "gamma", "sar", "powers"))
-        if tune_phases:
+        offer(ell, "beams", *beams)
+        if phase_rngs is not None:
             rngs = [rng if k == ell else copy.deepcopy(rng)
                     for k, rng in enumerate(phase_rngs)]
-            offer(ell, "phases", *_block_phases(state, rngs, check_caps),
-                  ("thetas", "gamma", "powers"))
-        offer(ell, "power", *_block_power(state), ("delta", "shares", "powers"))
+            offer(ell, "phases", *_block_phases(state, rngs))
+        offer(ell, "power", *_block_power(state))
 
 
 def plain_phase_ascent(cascade, direct, delta, c_un, theta0, rng, counters=None):

@@ -113,7 +113,9 @@ def test_link_primitives_the_benchmark_times_are_called_in_a_desk_run():
     totals = tracer.totals()
     for name in ("channel.ChannelRealization.effective", "channel.channel_gain",
                  "beamforming.optimize_beamformer", "re_alloc.allocate",
-                 "orchestrator.initialize_state"):
+                 "orchestrator.initialize_state", "trajectory.optimize_trajectory",
+                 "trajectory.sca_step", "convex_kernels.solve_convex_program",
+                 "ris_phase.optimize_phases"):
         assert totals[name][0] > 0, name
     # the hover search runs only in the fixed-surface scheme
     tracer = instrument.Tracer()

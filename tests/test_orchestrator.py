@@ -255,10 +255,36 @@ def test_a_failing_power_call_keeps_every_slot_and_is_counted(monkeypatch):
     assert np.array_equal(state.shares, start.shares)
     fields = ("delta", "shares", "powers")
     before = [getattr(start, f).copy() for f in fields]
-    orchestrator._accept(start, "power", *orchestrator._block_power(start), fields)
+    orchestrator._accept(start, "power", *orchestrator._block_power(start))
     for fname, arr in zip(fields, before):
         assert np.array_equal(getattr(start, fname), arr)
     assert start.counters["power_fallbacks"] == 1 and start.trace == []
+
+
+@pytest.mark.parametrize("name", ["beams", "phases"])
+def test_accept_refuses_a_slot_whose_lower_exposure_breaks_a_power_cap(name):
+    # every slot's candidate lowers that slot's exposure sum, but in slot 2
+    # it lifts user 1 to 1.5 p_max: that slot keeps its incumbent, whichever
+    # block offers the candidate, and the other slots take theirs
+    sc = desk_scenario()
+    p = sc.params
+    state = make_state(sc)
+    bad, user = 2, 1
+    sar, powers = 0.5 * state.sar, state.powers.copy()
+    over = 1.5 * p.p_max / powers[bad, user].sum()
+    powers[bad, user] *= over
+    sar[bad] /= 2.0 * over
+    cand = {"sar": sar, "powers": powers}
+    assert np.all(np.einsum("lun,lun,lun->l", state.delta, powers, sar)
+                  < state.per_user_exposure().sum(axis=0))
+    incumbent = {fname: getattr(state, fname).copy() for fname in cand}
+    orchestrator._accept(state, name, np.ones(p.num_slots, dtype=bool), cand)
+    kept = np.arange(p.num_slots) != bad
+    for fname, value in cand.items():
+        assert np.array_equal(getattr(state, fname)[kept], value[kept])
+        assert np.array_equal(getattr(state, fname)[bad], incumbent[fname][bad])
+    assert [(e["event"], e["slot"]) for e in state.trace] == [
+        (name, ell) for ell in np.flatnonzero(kept)]
 
 
 def test_a_failing_path_solve_keeps_the_path_and_is_counted(monkeypatch):
@@ -308,12 +334,12 @@ def test_sweep_wide_beam_candidates_match_per_slot_searches(trial):
     first = make_state(sc, trial)
     second, _ = run_ao(sc, trial=trial, eps=MC_EPS, max_outer=1, knobs=MC_KNOBS)
     for state in (first, second):
-        ok, cand = _block_beams(state, check_caps=True)
+        ok, cand = _block_beams(state)
         assert ok.shape == (sc.num_slots,)
         for ell in range(sc.num_slots):
             want = per_slot_beam_candidate(state, ell)
             assert ok[ell]
-            for got_arr, want_arr in zip([a[ell] for a in cand], want):
+            for got_arr, want_arr in zip([a[ell] for a in cand.values()], want):
                 assert np.array_equal(got_arr, want_arr)
 
 
@@ -337,11 +363,11 @@ def test_grouped_beam_search_matches_per_slot_calls(group_links, searched, monke
     monkeypatch.setattr(channel, "GROUP_LINKS", group_links)
     calls = counting_beam_searches(monkeypatch)
     state = make_state(desk_scenario(), trial=1)
-    ok, cand = _block_beams(state, check_caps=True)
+    ok, cand = _block_beams(state)
     assert calls == searched
     for ell in range(state.scenario.num_slots):
         assert ok[ell]
-        for got_arr, want_arr in zip([a[ell] for a in cand],
+        for got_arr, want_arr in zip([a[ell] for a in cand.values()],
                                      per_slot_beam_candidate(state, ell)):
             assert np.array_equal(got_arr, want_arr)
 
@@ -349,7 +375,7 @@ def test_grouped_beam_search_matches_per_slot_calls(group_links, searched, monke
 def test_a_zero_gain_link_marks_only_its_slot_unusable(monkeypatch):
     sc = desk_scenario()
     state = make_state(sc, trial=0)
-    _, want = _block_beams(state, check_caps=True)
+    _, want = _block_beams(state)
     l, u, n = np.nonzero(state.delta)
     assert slot_groups(l) == [(0, l.size)]
     dead = np.flatnonzero(l == 3)[2]
@@ -363,13 +389,14 @@ def test_a_zero_gain_link_marks_only_its_slot_unusable(monkeypatch):
 
     monkeypatch.setattr(state.channels, "effective", with_a_dead_link)
     calls = counting_beam_searches(monkeypatch)
-    ok, got = _block_beams(state, check_caps=True)
+    ok, got = _block_beams(state)
     assert calls == [l.size]
     assert not ok[3]
     assert state.counters["beam_unusable"] == 1
     for ell in set(range(sc.num_slots)) - {3}:
         assert ok[ell]
-        for got_arr, want_arr in zip([a[ell] for a in got], [a[ell] for a in want]):
+        for got_arr, want_arr in zip([a[ell] for a in got.values()],
+                                     [a[ell] for a in want.values()]):
             assert np.array_equal(got_arr, want_arr)
 
 
@@ -380,7 +407,7 @@ def test_full_scale_beam_block_stays_small_in_memory():
     state = make_state(sc)
     tracemalloc.start()
     try:
-        ok, _ = _block_beams(state, check_caps=True)
+        ok, _ = _block_beams(state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -396,7 +423,7 @@ def test_full_scale_phase_block_stays_small_in_memory():
     rngs = [rng_stream(sc.rng_seed, 0, ell, 0, STREAM_GR) for ell in range(sc.num_slots)]
     tracemalloc.start()
     try:
-        ok, _ = orchestrator._block_phases(state, rngs, check_caps=True)
+        ok, _ = orchestrator._block_phases(state, rngs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -44,7 +44,7 @@ def full_scale_phase_calls(ascent):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orchestrator, "optimize_phases", counted)
-        orchestrator._block_phases(state, rngs, check_caps=True)
+        orchestrator._block_phases(state, rngs)
     assert state.counters["phase_steps"] == sum(steps)
     return np.array(steps), np.array(values)
 
