@@ -50,7 +50,6 @@ from .ris_phase import PhaseShiftVector, optimize_phases, uniform_phases
 from .trajectory import GainField, Trajectory, optimize_trajectory, straight_trajectory
 
 NEUTRAL_BEAM = (1.0, 0.0)  # (alpha2, beta2) of every beam the search has not set
-REL_TOL = 1e-12          # per-RE beam acceptance slack
 CAP_SLACK = 1e-9         # relative slack on per-user power caps
 SLOT_ARRAYS = ("delta", "shares", "powers", "gamma", "sar", "beams", "thetas")
 HOVER_RESOLUTION = 1.0   # meters; the hover-point search stops below this radius
@@ -109,8 +108,8 @@ class SolutionState:
     thetas: np.ndarray
     trace: list = field(default_factory=list)
     counters: dict = field(default_factory=lambda: dict.fromkeys(
-        ("phase_calls", "phase_steps", "sca_iters", "beam_links", "beam_unusable",
-         "power_fallbacks", "path_fallbacks"), 0))
+        ("phase_calls", "phase_steps", "phase_retired", "sca_iters", "beam_links",
+         "beam_unusable", "power_fallbacks", "path_fallbacks"), 0))
 
     def per_user_exposure(self):
         """(U, N_T) per-slot exposure sums."""
@@ -239,13 +238,12 @@ def initialize_state(scenario, channel_set, path):
 
 
 def _block_beams(state):
-    """Ratio-minimizing beams of every slot's active links; each link keeps
-    its incumbent unless the new beam's ratio is no worse.  One search per
+    """Ratio-minimizing beams of every slot's active links.  One search per
     slot group (`channel.slot_groups`) bounds the (links, phases) work
     arrays; a slot with a link that no beam gives positive gain (infinite
-    ratio) is unusable.  Returns (usable, cand): the (N_T,) mask of slots
-    whose every link found a usable beam, and the candidate beams, gamma,
-    sar and powers by field name.
+    ratio) is unusable and keeps its incumbent rows.  Returns (usable,
+    cand): the (N_T,) mask of slots whose every link found a usable beam,
+    and the candidate beams, gamma, sar and powers by field name.
     """
     sc = state.scenario
     p = sc.params
@@ -259,15 +257,11 @@ def _block_beams(state):
                                bandwidth=p.bandwidth_per_re)
         found[lo:hi], info = optimize_beamformer(k_mat[lo:hi], sc.sar_model, consts)
         usable[l[lo:hi][np.isinf(info.lam)]] = False
+    take = usable[l]
     state.counters["beam_unusable"] += int((~usable).sum())
-    state.counters["beam_links"] += int(usable[l].sum())
+    state.counters["beam_links"] += int(take.sum())
     new_gain = expanded_gain(gram_terms(k_mat), found.alpha[..., 1], found.beta[..., 1])
     new_sar = _sar_of(found, sc.sar_model)
-    pf = power_factor(rbar, p.noise_per_re, p.bandwidth_per_re)
-    old_gain, old_sar = state.gamma[l, u, n], state.sar[l, u, n]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        take = usable[l] & (new_gain > 0) & (new_sar * pf / new_gain <= old_sar * pf
-                                             / np.maximum(old_gain, 1e-300) * (1.0 + REL_TOL))
     l, u, n = l[take], u[take], n[take]
     beams, gamma, sar = (arr.copy() for arr in (state.beams, state.gamma, state.sar))
     beams[l, u, n], gamma[l, u, n], sar[l, u, n] = found[take], new_gain[take], new_sar[take]

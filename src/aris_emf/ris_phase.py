@@ -20,7 +20,12 @@ v = theta2 - 2 theta1 + theta0 and alpha = -||r|| / ||v|| clamped to at
 most -1, projected back to unit modulus and kept only if it lowers the
 objective.  Several starts ascend together as the columns
 of one matrix, so a step is two matrix products of the stacked active
-cascades.  theta0 is returned unless some column beats it, so the outer loop
+cascades.  A random restart stops once a step leaves it within RETIRE
+(elementwise) of the warm column or of a column no worse than itself: it has
+rejoined a basin that another column already covers, as in multi-level
+single linkage (Rinnooy Kan & Timmer, Math. Program. 1987), so only restarts
+in other basins run on.  Every column stops at one relative tolerance,
+MM_TOL.  theta0 is returned unless some column beats it, so the outer loop
 is monotone by construction.
 
 `solve_relaxation` (the unit-diagonal SDP relaxation of one round's lifted
@@ -41,9 +46,10 @@ from .exposure import InfeasibleError
 REDRAW_FLOOR = 1e-9  # |last lifted coordinate| below this forces a redraw
 EIG_CLAMP = -1e-9    # eigenvalues in [EIG_CLAMP, 0) are treated as 0
 MM_STEPS = 500       # step budget of each ascent column
-MM_TOL = 1e-10       # relative decrease at or below which a column stops
+MM_TOL = 1e-13       # relative decrease at or below which a column stops
 MM_RESTARTS = 4      # random starts beside the warm start
 RESTART_STEPS = 30   # after this many steps only the warm and the best column go on
+RETIRE = 0.5         # max |theta_i - theta'_i| within which a restart rejoins a column
 MM_MAX_DAMP = 1e6    # damping past which a column's rejected step stops it
 
 
@@ -161,6 +167,10 @@ def optimize_phases(cascade, direct, delta, c_un, theta0, rng, counters=None):
     column stops when a kept step lowers its value by no more than MM_TOL
     relative, when its damping passes MM_MAX_DAMP, or after MM_STEPS steps;
     after RESTART_STEPS steps only the warm column and the best one go on.
+    The warm column runs to its own stop; a random column also retires after
+    any step that leaves max_i |theta_c,i - theta_j,i| < RETIRE for the warm
+    column j = 0 or for another column j, running or stopped, whose value is
+    no higher (a tie going to the lower index).
 
     Squared extrapolation: a cycle opens at a column's current point theta0
     and closes after two kept steps in a row at mu = 0, theta0 -> theta1 ->
@@ -171,7 +181,8 @@ def optimize_phases(cascade, direct, delta, c_un, theta0, rng, counters=None):
     evaluated for all closing columns at once and replaces theta2 only if its
     value is strictly lower; the next cycle opens at the column's point.
     counters, when a dict, has its "phase_steps" entry raised by the number
-    of column evaluations, plain and extrapolated.
+    of column evaluations, plain and extrapolated, and its "phase_retired"
+    entry by the number of retired restarts.
     Returns the best column if it beats theta0's proxy exposure, else theta0.
     """
     delta = np.asarray(delta, dtype=float)
@@ -207,13 +218,16 @@ def optimize_phases(cascade, direct, delta, c_un, theta0, rng, counters=None):
     quad_transform_y(a, g[:, 0])  # raises InfeasibleError on a zero-gain link
     start_val = vals[0]
     active = np.isfinite(vals)
-    damp = np.zeros(thetas.shape[1])
+    k = thetas.shape[1]
+    damp = np.zeros(k)
     # each column's cycle start theta0, and whether it has reached theta1
-    base, midway = thetas.copy(), np.zeros(thetas.shape[1], dtype=bool)
-    evals = 0
+    base, midway = thetas.copy(), np.zeros(k, dtype=bool)
+    lower = np.tri(k, k, -1, dtype=bool)[1:]  # lower[c - 1, j]: j < c
+    first = np.arange(k) == 0
+    evals = retired = 0
     for step in range(MM_STEPS):
         if step == RESTART_STEPS:
-            active[1:] &= np.arange(1, thetas.shape[1]) == np.argmin(vals)
+            active[1:] &= np.arange(1, k) == np.argmin(vals)
         cols = np.flatnonzero(active)
         if cols.size == 0:
             break
@@ -258,8 +272,17 @@ def optimize_phases(cascade, direct, delta, c_un, theta0, rng, counters=None):
         vals[kept] = cand_vals[keep]
         damp[cols] = np.where(keep, 0.5 * damp[cols], np.maximum(2.0 * damp[cols], 1.0))
         active[cols] = np.where(keep, gain, damp[cols] <= MM_MAX_DAMP)
+        if active[1:].any():
+            # near[c - 1, j]: column j is within RETIRE of restart c and no
+            # worse (the warm column always is; a tie goes to the lower index)
+            near = np.abs(thetas[:, 1:, None] - thetas[:, None, :]).max(axis=0) < RETIRE
+            near &= (vals < vals[1:, None]) | ((vals == vals[1:, None]) & lower) | first
+            stop = active[1:] & near.any(axis=1)
+            active[1:] &= ~stop
+            retired += int(stop.sum())
     if counters is not None:
         counters["phase_steps"] += evals
+        counters["phase_retired"] += retired
     best = int(np.argmin(vals))
     if vals[best] < start_val:
         theta = thetas[:, best]

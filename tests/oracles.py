@@ -127,8 +127,9 @@ def slot_major_sweep(state, phase_rngs):
 
 def plain_phase_ascent(cascade, direct, delta, c_un, theta0, rng, counters=None):
     """`ris_phase.optimize_phases` with plain, damped MM steps only: the same
-    columns, safeguard, damping and stop tests, and no extrapolation.
-    counters["phase_steps"] gains its column evaluations."""
+    columns, safeguard, damping and stop tests, no extrapolation, and no
+    restart retired for nearing another column.  counters["phase_steps"]
+    gains its column evaluations."""
     delta = np.asarray(delta, dtype=float)
     theta = np.asarray(getattr(theta0, "values", theta0), dtype=complex)
     n = np.shape(cascade)[-1]

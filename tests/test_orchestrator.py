@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from aris_emf import channel, orchestrator, trajectory
+from aris_emf import channel, orchestrator, ris_phase, trajectory
 from aris_emf.beamforming import BeamConstants, optimize_beamformer
 from aris_emf.channel import channel_gain, gram
 from aris_emf.convex_kernels import ConvexSolverError
@@ -200,6 +200,18 @@ def test_counters_track_inner_solver_work():
     assert state.counters["phase_calls"] > 0
     assert state.counters["phase_steps"] >= state.counters["phase_calls"]
     assert state.counters["sca_iters"] > 0
+    # on a full-scale phase block most restarts rejoin a no-worse column and
+    # retire; with no restarts none does
+    sc = load_scenario(FULL_CFG)
+    rngs = [rng_stream(sc.rng_seed, 0, ell, 0, STREAM_GR) for ell in range(sc.num_slots)]
+    state = make_state(sc)
+    orchestrator._block_phases(state, rngs)
+    assert state.counters["phase_retired"] > 0
+    state = make_state(sc)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ris_phase, "MM_RESTARTS", 0)
+        orchestrator._block_phases(state, rngs)
+    assert state.counters["phase_calls"] > 0 and state.counters["phase_retired"] == 0
 
 
 @pytest.mark.parametrize("trial", [0, 1, 2])
