@@ -1,4 +1,4 @@
-"""Transmit beamformer search for one resource element or a stack of them.
+"""Transmit beamformer search over a stack of resource elements.
 
 A two-antenna beamformer is parametrized by the second antenna's power
 weight alpha2 in [0, ALPHA2_MAX] and relative phase beta2 (the first
@@ -23,10 +23,11 @@ one of its real roots inside.  What is left is a search in beta2 alone: the
 closed-form minimum over s on a fixed beta2 grid, then nested grid
 refinements around the best phase, each keeping the best point found so far.
 
-`optimize_beamformer` also takes a (..., 2, 2) stack of Gram matrices, such
-as the active links of a group of slots, and runs their searches together on
-(links, phases) arrays; each link ends where a call on its matrix alone would,
-and a link that no beam gives positive gain ends with an infinite ratio.
+`optimize_beamformer` has one call form: a (..., 2, 2) stack of Gram
+matrices, such as the active links of a group of slots, with the links'
+power factors.  It runs their searches together on (links, phases) arrays,
+and one matrix is the 0-d stack, searched by the same code.  A link that no
+beam gives positive gain ends with an infinite ratio.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import TWO_PI, Beamformer, beam_array, expanded_gain, gram_terms
-from .exposure import ALPHA2_MAX, InfeasibleError, power_factor, sar_harmonic
+from .channel import TWO_PI, beam_array, gram_terms
+from .exposure import ALPHA2_MAX, sar_harmonic
 
 BETA_GRID = 256       # coarse beta2 points over [0, 2pi)
 REFINE_PASSES = 4     # nested refinements around the best phase so far
@@ -47,32 +48,13 @@ S_MAX = math.sqrt(ALPHA2_MAX)
 
 
 @dataclass(frozen=True)
-class BeamConstants:
-    """Rate/noise constants fixing the power factor of resource elements."""
-
-    rbar: object         # rate share(s) carried on the RE(s) (bit/s), float or array
-    sigma2: float        # noise power in one RE bandwidth (W)
-    bandwidth: float     # RE bandwidth w (Hz)
-
-    def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if np.any(np.asarray(self.rbar) < 0) or self.sigma2 < 0:
-            raise ValueError("rate share and noise power must be non-negative")
-
-    @property
-    def power_factor(self):
-        """sigma2 * (2**(rbar/w) - 1): power needed at unit gain."""
-        return power_factor(self.rbar, self.sigma2, self.bandwidth)
-
-
-@dataclass(frozen=True)
 class DinkelbachState:
-    """Final ratio value, beams, and per-pass trace of one beam search
-    (arrays for a stack, with the passes on lam_history's last axis)."""
+    """Final ratios and per-pass trace of a beam search, with the passes on
+    lam_history's last axis."""
 
     lam: object
-    beamformer: object
+    # iterations and converged are fixed (REFINE_PASSES, True); they stay
+    # because the benchmark's beam observer reads both
     iterations: int
     converged: bool
     lam_history: object
@@ -86,15 +68,6 @@ def _checked_terms(k_mat):
     if np.any(skew > 1e-9 * np.max(np.abs(k_mat), axis=(-2, -1))):
         raise ValueError("Gram matrix must be Hermitian")
     return gram_terms(k_mat)
-
-
-def pair_gain(k_mat, alpha2, beta2):
-    """Beamforming gain of ((1, alpha2), (0, beta2)) against a 2x2 Gram matrix.
-
-    Vectorized over alpha2/beta2 arrays.
-    """
-    return expanded_gain(_checked_terms(np.asarray(k_mat)),
-                         np.asarray(alpha2, dtype=float), beta2)
 
 
 @lru_cache(maxsize=8)
@@ -134,16 +107,16 @@ def _min_over_s(b, harm, beta, terms):
     return best
 
 
-def optimize_beamformer(k_mat, model, constants):
-    """Ratio-minimizing beamformers of one (user, resource element) or a stack.
+def optimize_beamformer(k_mat, model, power_factor):
+    """Ratio-minimizing beams of a (..., 2, 2) stack of Gram matrices.
 
-    One 2x2 Gram matrix returns (Beamformer, DinkelbachState) with float
-    lam and a tuple lam_history; a (..., 2, 2) stack returns a beam record
-    array of shape (...) and a DinkelbachState whose lam and lam_history
-    are arrays.  lam_history holds the coarse grid's ratio and then the best
-    ratio after each refinement pass, so it never rises; iterations counts
-    the passes.  A single matrix that gives no beam a positive gain raises
-    InfeasibleError; in a stack, such a link's lam is inf.
+    power_factor is each link's sigma2 * (2**(rbar/w) - 1), shaped (...) or
+    broadcastable to it.  Returns a beam record array of shape (...) and a
+    DinkelbachState whose lam is (...) and lam_history (..., passes + 1); one
+    matrix is the 0-d stack.  lam_history holds the coarse grid's ratio and
+    then the best ratio after each refinement pass, so it never rises;
+    iterations counts the passes.  A link that no beam gives positive gain
+    ends with lam = inf.
     """
     k_mat = np.asarray(k_mat)
     terms = [np.reshape(t, -1) for t in _checked_terms(k_mat)]
@@ -154,8 +127,6 @@ def optimize_beamformer(k_mat, model, constants):
     ratio, s = _min_over_s(model.b, harm, beta, terms)
     i = np.argmin(ratio, axis=1)
     best = np.stack([ratio[links, i], s[links, i], beta[i]])   # ratio, s, beta2
-    if not lead and np.isinf(best[0][0]):
-        raise InfeasibleError("no beamformer achieves positive gain")
     history = [best[0]]
     step = TWO_PI / BETA_GRID
     for _ in range(REFINE_PASSES):
@@ -167,14 +138,7 @@ def optimize_beamformer(k_mat, model, constants):
         history.append(best[0])
         step *= 2.0 / (REFINE_POINTS - 1)
 
-    c = np.asarray(constants.power_factor)
-    lam_history = c[..., None] * np.stack(history, axis=-1).reshape(lead + (-1,))
-    alpha2 = (best[1] ** 2).reshape(lead)
-    beta2 = (best[2] % TWO_PI).reshape(lead)
-    if not lead:
-        bf = Beamformer((1.0, float(alpha2)), (0.0, float(beta2)))
-        lam_history = tuple(float(v) for v in lam_history)
-        return bf, DinkelbachState(lam_history[-1], bf, REFINE_PASSES, True, lam_history)
-    beams = beam_array(lead, alpha2, beta2)
-    return beams, DinkelbachState(lam_history[..., -1], beams, REFINE_PASSES, True,
-                                  lam_history)
+    lam_history = (np.asarray(power_factor)[..., None]
+                   * np.stack(history, axis=-1).reshape(lead + (-1,)))
+    beams = beam_array(lead, (best[1] ** 2).reshape(lead), (best[2] % TWO_PI).reshape(lead))
+    return beams, DinkelbachState(lam_history[..., -1], REFINE_PASSES, True, lam_history)

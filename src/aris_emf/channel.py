@@ -14,6 +14,10 @@ model: the user->surface link uses the y-displacement over distance for both
 arrival and departure sines (set ``departure_uses_x`` on the Scenario to use
 the x-displacement on the departure side instead); the surface->BS link uses
 (x_B - x) / d for both.
+
+Beams have one type, the BEAM_DTYPE record array of `beam_array`, and the
+gain kernels have one call form: a (..., M_r, 2) channel stack and a beam
+array of shape (...) give (...) gains, so one link is the 0-d stack.
 """
 
 from __future__ import annotations
@@ -40,28 +44,9 @@ def rng_stream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key)))
 
 
-@dataclass(frozen=True)
-class Beamformer:
-    """Two-antenna transmit beam: power shares alpha (alpha_1 = 1) and phases beta (beta_1 = 0)."""
-
-    alpha: tuple
-    beta: tuple
-
-    def __post_init__(self):
-        alpha = tuple(float(a) for a in self.alpha)
-        beta = tuple(float(b) % TWO_PI for b in self.beta)
-        if abs(alpha[0] - 1.0) > 1e-12:
-            raise ValueError("beamformer convention requires alpha_1 = 1")
-        if beta[0] != 0.0:
-            raise ValueError("beamformer convention requires beta_1 = 0")
-        if any(a < 0 for a in alpha):
-            raise ValueError("power shares must be nonnegative")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-
-# Many beams at once: a record array with the Beamformer's two fields, each
-# a float (..., 2) array under the same convention (alpha_1 = 1, beta_1 = 0).
+# Beams: a record array whose fields alpha and beta are float (..., 2)
+# arrays of the power shares and phases, with alpha_1 = 1 and beta_1 = 0 by
+# convention; beam_array((), alpha2, beta2) is one beam.
 BEAM_DTYPE = np.dtype([("alpha", float, (2,)), ("beta", float, (2,))])
 
 
@@ -75,8 +60,8 @@ def beam_array(shape, alpha2, beta2):
 
 
 def beam_vector(beams):
-    """(..., 2) weights sqrt(alpha) exp(j beta) of a Beamformer or beam array."""
-    return np.sqrt(np.asarray(beams.alpha)) * np.exp(1j * np.asarray(beams.beta))
+    """(..., 2) weights sqrt(alpha) exp(j beta) of a beam array of shape (...)."""
+    return np.sqrt(beams.alpha) * np.exp(1j * beams.beta)
 
 
 def slot_groups(ell):
@@ -111,11 +96,9 @@ def expanded_gain(terms, alpha2, beta2):
 
 
 def channel_gain(h_eff, beams):
-    """Gain ||H f||^2 via the expanded form: a float for one (M_r, 2) channel
-    and a Beamformer, an array for a stack and a beam array of its shape."""
-    gain = expanded_gain(gram_terms(gram(h_eff)), np.asarray(beams.alpha)[..., 1],
-                         np.asarray(beams.beta)[..., 1])
-    return float(gain) if np.ndim(gain) == 0 else gain
+    """(...) gains ||H f||^2, via the expanded form, of a (..., M_r, 2) channel
+    stack under a beam array of shape (...); one channel is the 0-d stack."""
+    return expanded_gain(gram_terms(gram(h_eff)), beams.alpha[..., 1], beams.beta[..., 1])
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +125,6 @@ class RicianMixture:
         out = self._b * self._nlos[key]    # a fresh array, never a view of the draws
         out += self._los[(k0, k1) + key[2:]]
         return out
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("a Rician mixture is formed on demand: it needs a copy")
-        return self[()] if dtype is None else self[()].astype(dtype, copy=False)
 
 
 @dataclass

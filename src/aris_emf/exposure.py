@@ -108,10 +108,11 @@ def load_sar_model(path):
 
 
 def reference_sar(model, alpha, beta2):
-    """Reference SAR of a 2-antenna beam (1/kg).
+    """Reference SAR of 2-antenna beams (1/kg).
 
     alpha: array-like (2, ...) of amplitudes squared, alpha_1 = 1 by
-    convention; beta2: relative phase in radians (broadcastable). Returns
+    convention; beta2: relative phases in radians (broadcastable).  Returns
+    an array of the broadcast shape (0-d for one beam):
     b1*a1 + b2*sqrt(a1*a2) + b3*a2 plus the (b4*a1 + b5*sqrt(a1*a2) +
     b6*a2)-weighted harmonic series sum_{k=0..6} b_{7+k} cos(k*beta2 +
     b_{14+k}).
@@ -123,10 +124,7 @@ def reference_sar(model, alpha, beta2):
     cross = np.sqrt(a1 * a2)
     quad = b[0] * a1 + b[1] * cross + b[2] * a2
     env = b[3] * a1 + b[4] * cross + b[5] * a2
-    out = quad + env * sar_harmonic(model, beta2)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return quad + env * sar_harmonic(model, beta2)
 
 
 def sar_harmonic(model, beta2):

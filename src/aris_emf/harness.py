@@ -4,7 +4,11 @@ empirical CDFs, flight-path reports, and deterministic table export.
 All schemes at a sweep point see identical channel draws for a given trial
 index (stream derivation depends only on seed/trial/slot/subcarrier/link),
 so scheme orderings are free of channel noise.  Everything downstream of a
-fixed (seed, spec) pair is deterministic, including output bytes.
+fixed (seed, spec) pair is deterministic, including output bytes.  At full
+scale that holds only at a fixed BLAS thread count: a threaded BLAS may sum
+the matrix products in another order, and `configs/full.cfg` results move
+in the last bits between 1 and 2 threads.  Desk results on trials 0-2 did
+not depend on the thread count.
 """
 
 import csv
@@ -56,8 +60,9 @@ class SweepSpec:
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep values must be strictly increasing")
         object.__setattr__(self, "values", values)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        trials = self.trials
+        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
         schemes = tuple(self.schemes)
         unknown = [s for s in schemes if s not in SCHEMES]
         if not schemes or unknown:

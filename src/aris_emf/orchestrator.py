@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import BeamConstants, optimize_beamformer
+from .beamforming import optimize_beamformer
 from .channel import (STREAM_GR, STREAM_RANDOM_PHASE, ChannelSet, beam_array,
                       beam_vector, channel_gain, expanded_gain, gram, gram_terms,
                       rng_stream, slot_groups)
@@ -249,13 +249,11 @@ def _block_beams(state):
     p = sc.params
     l, u, n = np.nonzero(state.delta)
     k_mat = gram(state.channels.effective(l, n, u, state.thetas[l]))
-    rbar = state.shares[l, u, n]
+    factor = power_factor(state.shares[l, u, n], p.noise_per_re, p.bandwidth_per_re)
     found = beam_array(l.size, *NEUTRAL_BEAM)
     usable = np.ones(p.num_slots, dtype=bool)
     for lo, hi in slot_groups(l):
-        consts = BeamConstants(rbar=rbar[lo:hi], sigma2=p.noise_per_re,
-                               bandwidth=p.bandwidth_per_re)
-        found[lo:hi], info = optimize_beamformer(k_mat[lo:hi], sc.sar_model, consts)
+        found[lo:hi], info = optimize_beamformer(k_mat[lo:hi], sc.sar_model, factor[lo:hi])
         usable[l[lo:hi][np.isinf(info.lam)]] = False
     take = usable[l]
     state.counters["beam_unusable"] += int((~usable).sum())

@@ -38,11 +38,11 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Powers, (N_c,) or (U, N_c), and the multipliers, floats or (U,)."""
+    """Powers, (..., N_c), and the multipliers, (...) arrays."""
 
     powers: np.ndarray
-    mu: float
-    lam: float
+    mu: np.ndarray
+    lam: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.powers, dtype=float)
@@ -52,10 +52,6 @@ class PowerAllocation:
             raise ValueError("multipliers must be non-negative")
         p.setflags(write=False)
         object.__setattr__(self, "powers", p)
-
-    @property
-    def total(self):
-        return self.powers.sum(axis=-1)
 
 
 def _users(rows):
@@ -127,12 +123,14 @@ def _solve(gamma, sar, rate_target, p_max, sigma2, w):
 
 
 def allocate_power(delta, gamma, sar, rate_target, p_max, sigma2, w):
-    """Powers and per-element rate shares across one slot.
+    """Powers and per-element rate shares of rows of elements.
 
-    delta/gamma/sar: one user's (N_c,) allocation mask, gains and reference
-    exposures with a scalar rate_target, or a slot's (U, N_c) rows with (U,)
-    targets.  Returns (PowerAllocation, shares) with shares the per-element
-    rates, each row summing to its target.  Errors name the failing rows.
+    delta/gamma/sar: (..., N_c) rows of allocation masks, gains and reference
+    exposures, such as the AO's (N_T, U, N_c) (slot, user) rows, with (...)
+    rate targets; one user's (N_c,) row is the 0-d case.  Returns
+    (PowerAllocation, shares): powers and shares are (..., N_c), mu and lam
+    (...) arrays, and each row of shares sums to its target.  Errors name the
+    failing rows.
     """
     delta, gamma, sar, target = (np.asarray(a, dtype=float)
                                  for a in (delta, gamma, sar, rate_target))
@@ -149,5 +147,4 @@ def allocate_power(delta, gamma, sar, rate_target, p_max, sigma2, w):
     if np.any(short):
         raise ArithmeticError(f"multiplier solve left {_users(np.argwhere(short))} short of "
                               f"its rate target or over the {p_max:.3g} W cap")
-    # [()] turns one user's 0-d multipliers into floats and leaves rows as they are
-    return PowerAllocation(powers, mu[()], lam[()]), shares
+    return PowerAllocation(powers, mu, lam), shares

@@ -67,13 +67,6 @@ class PhaseShiftVector:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def __len__(self):
-        return self.values.size
-
-    @property
-    def angles(self):
-        return np.angle(self.values)
-
 
 def uniform_phases(n):
     """The all-zero-phase vector (every element reflecting unshifted)."""
@@ -89,7 +82,8 @@ class LiftedSolution:
 
 
 def quad_transform_y(c_un, gamma_un):
-    """Auxiliary variables y = c / gamma of the quadratic transform.
+    """Auxiliary variables y = c / gamma of the quadratic transform, an array
+    of the inputs' broadcast shape (0-d for one link).
 
     Zero gain on a link with c > 0 means the link cannot carry its rate at
     any power and raises InfeasibleError; c = 0 maps to y = 0.
@@ -100,10 +94,7 @@ def quad_transform_y(c_un, gamma_un):
     if np.any(bad):
         raise InfeasibleError(f"{int(bad.sum())} allocated link(s) have zero gain")
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.where(c > 0.0, c / np.where(g > 0.0, g, 1.0), 0.0)
-    if y.ndim == 0:
-        return float(y)
-    return y
+        return np.where(c > 0.0, c / np.where(g > 0.0, g, 1.0), 0.0)
 
 
 def solve_relaxation(r_mat, tol=1e-6):

@@ -13,10 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from aris_emf.beamforming import BeamConstants, optimize_beamformer, pair_gain
-from aris_emf.channel import Beamformer, channel_gain
+from aris_emf.beamforming import optimize_beamformer
+from aris_emf.channel import beam_array, channel_gain, expanded_gain, gram_terms
 from aris_emf.convex_kernels import ConvexProgram, solve_convex_program
-from aris_emf.exposure import InfeasibleError, default_sar_model, reference_sar
+from aris_emf.exposure import InfeasibleError, default_sar_model, power_factor, reference_sar
 from aris_emf.harness import SweepSpec, monte_carlo_sweep
 from aris_emf.orchestrator import AoKnobs, run_ao
 from aris_emf.power_control import allocate_power
@@ -56,7 +56,7 @@ def test_criterion_1_gain_identity():
         beta = (0.0, float(rng.uniform(0, 2 * np.pi)))
         f = np.sqrt(alpha) * np.exp(1j * np.array(beta))
         want = float(np.linalg.norm(h @ f) ** 2)
-        got = channel_gain(h, Beamformer(alpha, beta))
+        got = channel_gain(h, beam_array((), alpha[1], beta[1]))
         worst = max(worst, abs(got - want) / max(want, 1e-300))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0
@@ -78,14 +78,13 @@ def test_criterion_2_dinkelbach_vs_grid():
     for _ in range(50):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         k = a @ a.conj().T
-        cons = BeamConstants(rbar=float(rng.uniform(2e5, 2e6)),
-                             sigma2=1e-12, bandwidth=240e3)
-        bf, state = optimize_beamformer(k, model, cons)
-        gam = pair_gain(k, a2, b2[:, None])
+        c = power_factor(float(rng.uniform(2e5, 2e6)), 1e-12, 240e3)
+        bf, state = optimize_beamformer(k, model, c)
+        gam = expanded_gain(gram_terms(k), a2, b2[:, None])
         alpha = np.stack([np.ones((n, n)), np.broadcast_to(a2, (n, n))])
         sar = reference_sar(model, alpha, b2[:, None])
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(gam > 0, cons.power_factor * sar / gam, np.inf)
+            ratio = np.where(gam > 0, c * sar / gam, np.inf)
         oracle = float(ratio.min())
         worst_gap = max(worst_gap, abs(state.lam - oracle) / oracle)
         hist = np.asarray(state.lam_history)
@@ -123,11 +122,11 @@ def test_criterion_3_power_kkt_vs_barrier():
         except InfeasibleError:
             continue
         if attempts % 2:  # power cap binds
-            cap = 0.5 * (min_alloc.total + free_alloc.total)
-            if cap >= free_alloc.total * (1 - 1e-6):
+            cap = 0.5 * (min_alloc.powers.sum() + free_alloc.powers.sum())
+            if cap >= free_alloc.powers.sum() * (1 - 1e-6):
                 continue
         else:  # slack cap
-            cap = 2.0 * free_alloc.total
+            cap = 2.0 * free_alloc.powers.sum()
         alloc, shares = allocate_power(np.ones(n), gamma, sar, target, cap,
                                        sigma2, w)
         x0 = 0.5 * (min_alloc.powers + alloc.powers)
@@ -165,7 +164,7 @@ def test_criterion_3_power_kkt_vs_barrier():
         bar_obj = float(sar @ x)
         worst_obj = max(worst_obj, abs(kkt_obj - bar_obj) / max(bar_obj, 1e-300))
         rate_slack = (shares.sum() - target) / w
-        power_slack = (alloc.total - cap) / cap
+        power_slack = (alloc.powers.sum() - cap) / cap
         worst_slack = max(
             worst_slack,
             abs(alloc.mu * w * rate_slack) / max(1.0, alloc.mu * w),

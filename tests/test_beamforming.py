@@ -5,15 +5,25 @@ import pytest
 
 from aris_emf.beamforming import (
     S_MAX,
-    BeamConstants,
     DinkelbachState,
     _min_over_s,
     optimize_beamformer,
-    pair_gain,
 )
-from aris_emf.channel import Beamformer
-from aris_emf.exposure import InfeasibleError, SarModel, default_sar_model, reference_sar
+from aris_emf.channel import BEAM_DTYPE, expanded_gain, gram_terms
+from aris_emf.exposure import SarModel, default_sar_model, power_factor, reference_sar
 from test_channel import gain_from_quadratic
+
+SIGMA2, W = 1e-12, 240e3
+
+
+def factor(rbar, sigma2=SIGMA2):
+    """Power factor of rate share(s) rbar in one RE bandwidth W."""
+    return power_factor(rbar, sigma2, W)
+
+
+def beam_gain(k_mat, alpha2, beta2):
+    """Gain of the beam ((1, alpha2), (0, beta2)) against a 2x2 Gram matrix."""
+    return expanded_gain(gram_terms(np.asarray(k_mat)), alpha2, beta2)
 
 
 def dinkelbach_objective(alpha, beta, lam, k_mat, model, rbar, sigma2, w, delta):
@@ -33,7 +43,7 @@ def ratio_on_grid(k_mat, model, c, n=500):
     """Dense-grid minimum of c*SAR/gamma used as the exhaustive oracle."""
     a2 = np.linspace(0.0, 4.0, n)
     b2 = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-    gam = pair_gain(k_mat, a2, b2[:, None])
+    gam = beam_gain(k_mat, a2, b2[:, None])
     alpha = np.stack([np.ones((n, n)), np.broadcast_to(a2, (n, n))])
     sar = reference_sar(model, alpha, b2[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -43,7 +53,7 @@ def ratio_on_grid(k_mat, model, c, n=500):
 
 def beam_ratio(k_mat, model, c, bf):
     sar = reference_sar(model, np.asarray(bf.alpha), bf.beta[1])
-    gam = float(pair_gain(k_mat, bf.alpha[1], bf.beta[1]))
+    gam = beam_gain(k_mat, bf.alpha[1], bf.beta[1])
     return c * sar / gam
 
 
@@ -75,14 +85,14 @@ def test_objective_trivial_cases():
     assert dinkelbach_objective((1.0, 1.5), (0.0, 0.3), 0.7, k, model,
                                 6e5, 1e-12, 240e3, 0.0) == 0.0
     # at the ratio update point the linearized objective vanishes
-    gam = float(pair_gain(k, 1.5, 0.3))
+    gam = beam_gain(k, 1.5, 0.3)
     lam_fix = c * reference_sar(model, (1.0, 1.5), 0.3) / gam
     resid = dinkelbach_objective((1.0, 1.5), (0.0, 0.3), lam_fix, k, model,
                                  6e5, 1e-12, 240e3, 1.0)
     assert abs(resid) <= 1e-12 * max(1.0, c)
 
 
-def test_pair_gain_matches_quadratic_form():
+def test_expanded_gain_matches_quadratic_form():
     rng = np.random.default_rng(1)
     for _ in range(100):
         k = random_psd2(rng)
@@ -90,17 +100,17 @@ def test_pair_gain_matches_quadratic_form():
         b2 = rng.uniform(0, 2 * math.pi)
         f = np.array([1.0, math.sqrt(a2) * np.exp(1j * b2)])
         want = float((f.conj() @ k @ f).real)
-        assert float(pair_gain(k, a2, b2)) == pytest.approx(want, rel=1e-10)
+        assert beam_gain(k, a2, b2) == pytest.approx(want, rel=1e-10)
 
 
 def test_beta_free_model_diagonal_k_matches_1d_oracle():
     # with no harmonic envelope and diagonal K the ratio depends on alpha2 only
     model = SarModel(b=(4.0, 1.0, 4.0) + (0.0,) * 17)
     k = np.diag([1.0, 3.0]).astype(complex)
-    cons = BeamConstants(rbar=6e5, sigma2=1e-12, bandwidth=240e3)
-    bf, state = optimize_beamformer(k, model, cons)
+    c = factor(6e5)
+    bf, state = optimize_beamformer(k, model, c)
     a_dense = np.linspace(0.0, 4.0, 10 ** 6)
-    vals = cons.power_factor * (4.0 + np.sqrt(a_dense) + 4.0 * a_dense) \
+    vals = c * (4.0 + np.sqrt(a_dense) + 4.0 * a_dense) \
         / (1.0 + 3.0 * a_dense)
     a_star = float(a_dense[np.argmin(vals)])
     assert bf.alpha[1] == pytest.approx(a_star, abs=1e-3)
@@ -110,15 +120,15 @@ def test_beta_free_model_diagonal_k_matches_1d_oracle():
 def test_uniform_gain_gives_minimum_sar_vs_dense_grid():
     # K = diag(1, 0) gives every beam gain 1, so the ratio is power_factor * SAR
     model = default_sar_model()
-    cons = BeamConstants(rbar=6e5, sigma2=1e-12, bandwidth=240e3)
+    c = factor(6e5)
     k = np.diag([1.0, 0.0]).astype(complex)
-    bf, state = optimize_beamformer(k, model, cons)
-    got = cons.power_factor * reference_sar(model, np.asarray(bf.alpha), bf.beta[1])
+    bf, state = optimize_beamformer(k, model, c)
+    got = c * reference_sar(model, np.asarray(bf.alpha), bf.beta[1])
     n = 400
     a2 = np.linspace(0.0, 4.0, n)
     b2 = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
     alpha = np.stack([np.ones((n, n)), np.broadcast_to(a2, (n, n))])
-    oracle = cons.power_factor * reference_sar(model, alpha, b2[:, None])
+    oracle = c * reference_sar(model, alpha, b2[:, None])
     assert got <= float(oracle.min()) + 1e-15
     assert got == pytest.approx(float(oracle.min()), rel=1e-3)
     assert state.lam == pytest.approx(got, rel=1e-12)
@@ -134,12 +144,11 @@ def test_optimizer_never_above_fine_grid_oracle():
     sar = reference_sar(model, alpha, b2[:, None])
     for _ in range(100):
         k = random_psd2(rng)
-        cons = BeamConstants(rbar=float(rng.uniform(2e5, 2e6)), sigma2=1e-12,
-                             bandwidth=240e3)
-        _, state = optimize_beamformer(k, model, cons)
-        gam = pair_gain(k, a2, b2[:, None])
+        c = factor(rng.uniform(2e5, 2e6))
+        _, state = optimize_beamformer(k, model, c)
+        gam = beam_gain(k, a2, b2[:, None])
         with np.errstate(divide="ignore", invalid="ignore"):
-            oracle = cons.power_factor * float(np.where(gam > 0, sar / gam, np.inf).min())
+            oracle = c * float(np.where(gam > 0, sar / gam, np.inf).min())
         assert state.lam <= oracle * (1.0 + 1e-9)
 
 
@@ -148,10 +157,9 @@ def test_rounding_scale_of_gram_leaves_ratio_stable():
     model = default_sar_model()
     for _ in range(100):
         k = random_psd2(rng)
-        cons = BeamConstants(rbar=float(rng.uniform(2e5, 2e6)), sigma2=1e-12,
-                             bandwidth=240e3)
-        _, st1 = optimize_beamformer(k, model, cons)
-        _, st2 = optimize_beamformer(k * (1.0 + 1e-12), model, cons)
+        c = factor(rng.uniform(2e5, 2e6))
+        _, st1 = optimize_beamformer(k, model, c)
+        _, st2 = optimize_beamformer(k * (1.0 + 1e-12), model, c)
         assert abs(st2.lam - st1.lam) <= 1e-9 * st1.lam
 
 
@@ -160,12 +168,12 @@ def test_optimizer_matches_dense_grid_ratio():
     model = default_sar_model()
     for trial in range(50):
         k = random_psd2(rng)
-        cons = BeamConstants(rbar=rng.uniform(2e5, 2e6), sigma2=1e-12, bandwidth=240e3)
-        bf, state = optimize_beamformer(k, model, cons)
+        c = factor(rng.uniform(2e5, 2e6))
+        bf, state = optimize_beamformer(k, model, c)
         assert state.converged
-        oracle = ratio_on_grid(k, model, cons.power_factor)
+        oracle = ratio_on_grid(k, model, c)
         assert state.lam <= oracle * 1.005 + 1e-30
-        assert beam_ratio(k, model, cons.power_factor, bf) == pytest.approx(
+        assert beam_ratio(k, model, c, bf) == pytest.approx(
             state.lam, rel=1e-9)
 
 
@@ -174,14 +182,14 @@ def test_lambda_sequence_monotone_and_fixed_point():
     model = default_sar_model()
     for _ in range(20):
         k = random_psd2(rng)
-        cons = BeamConstants(rbar=8e5, sigma2=2e-12, bandwidth=240e3)
-        bf, state = optimize_beamformer(k, model, cons)
+        c = factor(8e5, sigma2=2e-12)
+        bf, state = optimize_beamformer(k, model, c)
         hist = np.asarray(state.lam_history)
         assert np.all(np.diff(hist) <= 1e-12 * np.maximum(1.0, np.abs(hist[:-1])))
         # fixed point: the linearized objective vanishes at the output
         resid = dinkelbach_objective(bf.alpha, bf.beta, state.lam, k, model,
-                                     cons.rbar, cons.sigma2, cons.bandwidth, 1.0)
-        scale = cons.power_factor * reference_sar(model, np.asarray(bf.alpha), bf.beta[1])
+                                     8e5, 2e-12, W, 1.0)
+        scale = c * reference_sar(model, np.asarray(bf.alpha), bf.beta[1])
         assert abs(resid) <= 1e-6 * max(1.0, scale)
         # never worse than the grid initialization it started from
         assert state.lam <= state.lam_history[0] + 1e-12
@@ -189,8 +197,7 @@ def test_lambda_sequence_monotone_and_fixed_point():
 
 def test_scaled_identity_k_converges_quickly():
     model = default_sar_model()
-    cons = BeamConstants(rbar=6e5, sigma2=1e-12, bandwidth=240e3)
-    bf, state = optimize_beamformer(3.0 * np.eye(2, dtype=complex), model, cons)
+    bf, state = optimize_beamformer(3.0 * np.eye(2, dtype=complex), model, factor(6e5))
     assert state.converged and state.iterations <= 5
     assert bf.alpha[0] == 1.0 and bf.beta[0] == 0.0
 
@@ -198,10 +205,10 @@ def test_scaled_identity_k_converges_quickly():
 def test_gram_scaling_leaves_argmin_and_scales_ratio():
     rng = np.random.default_rng(5)
     model = default_sar_model()
-    cons = BeamConstants(rbar=9e5, sigma2=1e-12, bandwidth=240e3)
+    c = factor(9e5)
     k = random_psd2(rng)
-    bf1, st1 = optimize_beamformer(k, model, cons)
-    bf2, st2 = optimize_beamformer(7.3 * k, model, cons)
+    bf1, st1 = optimize_beamformer(k, model, c)
+    bf2, st2 = optimize_beamformer(7.3 * k, model, c)
     assert st2.lam * 7.3 == pytest.approx(st1.lam, rel=1e-6)
     assert bf2.alpha[1] == pytest.approx(bf1.alpha[1], abs=1e-3)
     assert bf2.beta[1] == pytest.approx(bf1.beta[1], abs=1e-3)
@@ -209,35 +216,35 @@ def test_gram_scaling_leaves_argmin_and_scales_ratio():
 
 def test_zero_rate_share_gives_zero_ratio():
     model = default_sar_model()
-    cons = BeamConstants(rbar=0.0, sigma2=1e-12, bandwidth=240e3)
-    bf, state = optimize_beamformer(np.eye(2, dtype=complex), model, cons)
+    bf, state = optimize_beamformer(np.eye(2, dtype=complex), model, factor(0.0))
     assert state.lam == 0.0
     assert state.converged
     assert bf.alpha[0] == 1.0
 
 
 def test_zero_gram_matrix_is_infeasible():
-    cons = BeamConstants(rbar=6e5, sigma2=1e-12, bandwidth=240e3)
-    with pytest.raises(InfeasibleError):
-        optimize_beamformer(np.zeros((2, 2), dtype=complex), default_sar_model(), cons)
+    # no beam gives positive gain: the search ends at an infinite ratio
+    _, state = optimize_beamformer(np.zeros((2, 2), dtype=complex), default_sar_model(),
+                                   factor(6e5))
+    assert np.isinf(state.lam)
 
 
 def test_non_square_or_non_hermitian_rejected():
-    cons = BeamConstants(rbar=6e5, sigma2=1e-12, bandwidth=240e3)
+    c = factor(6e5)
     with pytest.raises(ValueError, match="2x2"):
-        optimize_beamformer(np.eye(3, dtype=complex), default_sar_model(), cons)
+        optimize_beamformer(np.eye(3, dtype=complex), default_sar_model(), c)
     bad = np.array([[1.0, 1.0 + 1j], [1.0 + 1j, 1.0]])
     with pytest.raises(ValueError, match="Hermitian"):
-        optimize_beamformer(bad, default_sar_model(), cons)
+        optimize_beamformer(bad, default_sar_model(), c)
 
 
 def test_state_shape_and_beamformer_convention():
     model = default_sar_model()
-    cons = BeamConstants(rbar=5e5, sigma2=1e-12, bandwidth=240e3)
-    bf, state = optimize_beamformer(random_psd2(np.random.default_rng(6)), model, cons)
+    bf, state = optimize_beamformer(random_psd2(np.random.default_rng(6)), model, factor(5e5))
     assert isinstance(state, DinkelbachState)
-    assert state.beamformer == bf
-    assert len(state.lam_history) == state.iterations + 1
+    assert bf.shape == () and bf.dtype == BEAM_DTYPE
+    assert np.ndim(state.lam) == 0
+    assert state.lam_history.shape == (state.iterations + 1,)
     assert bf.alpha[0] == 1.0 and bf.beta[0] == 0.0
     assert 0.0 <= bf.alpha[1] <= 4.0
     assert 0.0 <= bf.beta[1] < 2 * math.pi
@@ -248,31 +255,33 @@ def test_stacked_search_matches_single_matrix_calls():
     model = default_sar_model()
     k = np.stack([random_psd2(rng, scale=10.0 ** rng.uniform(-15, -8))
                   for _ in range(1200)]).reshape(40, 30, 2, 2)
-    rbar = rng.uniform(2e5, 2e6, size=(40, 30))
-    beams, state = optimize_beamformer(k, model, BeamConstants(rbar, 1e-12, 240e3))
-    assert beams.shape == (40, 30) and state.beamformer is beams
+    c = factor(rng.uniform(2e5, 2e6, size=(40, 30)))
+    beams, state = optimize_beamformer(k, model, c)
+    assert beams.shape == (40, 30)
     assert state.lam.shape == (40, 30)
     assert state.lam_history.shape == (40, 30, state.iterations + 1)
     assert type(state.iterations) is int and state.converged is True
+    # one matrix is the 0-d stack, searched by the same code, so it ends bit
+    # for bit where the same matrix inside the stack does
     for idx in np.ndindex(40, 30):
-        bf, one = optimize_beamformer(k[idx], model,
-                                      BeamConstants(float(rbar[idx]), 1e-12, 240e3))
-        same_beam = (bf.alpha[1] == beams.alpha[idx][1]
-                     and bf.beta[1] == beams.beta[idx][1])
-        assert same_beam or abs(one.lam - state.lam[idx]) <= 1e-12 * one.lam
-        assert np.allclose(one.lam_history, state.lam_history[idx], rtol=1e-12, atol=0)
+        bf, one = optimize_beamformer(k[idx], model, c[idx])
+        for got, want in ((one.lam, state.lam[idx]), (one.lam_history, state.lam_history[idx]),
+                          (bf.alpha, beams.alpha[idx]), (bf.beta, beams.beta[idx])):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_stacked_search_with_a_zero_gram_is_infeasible():
     # the zero link ends at an infinite ratio; the other ends where its own call does
     model = default_sar_model()
     k = np.stack([np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)])
-    beams, state = optimize_beamformer(k, model, BeamConstants(np.array([6e5, 6e5]),
-                                                               1e-12, 240e3))
+    c = factor(6e5)
+    beams, state = optimize_beamformer(k, model, c)
     assert np.isinf(state.lam[1])
-    bf, one = optimize_beamformer(k[0], model, BeamConstants(6e5, 1e-12, 240e3))
+    bf, one = optimize_beamformer(k[0], model, c)
     assert state.lam[0] == one.lam
-    assert tuple(beams.alpha[0]) == bf.alpha and tuple(beams.beta[0]) == bf.beta
+    assert np.array_equal(beams.alpha[0], bf.alpha) and np.array_equal(beams.beta[0], bf.beta)
 
 
 def stacked_min_over_s(b, harm, beta, terms):

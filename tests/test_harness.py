@@ -52,6 +52,12 @@ def test_sweep_spec_requires_strictly_increasing_values():
         SweepSpec("rx_antennas", (16, 8), 1, ("proposed",), DESK)
 
 
+@pytest.mark.parametrize("trials", [0, -1, 2.5, 2.0, True, "3"])
+def test_sweep_spec_requires_a_positive_integer_trial_count(trials):
+    with pytest.raises(ValueError, match="trials"):
+        SweepSpec("rx_antennas", (4, 8), trials, ("proposed",), DESK)
+
+
 def test_sweep_spec_rejects_unknown_scheme():
     with pytest.raises(ValueError, match="schemes"):
         SweepSpec("rx_antennas", (4, 8), 1, ("proposed", "psychic"), DESK)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from aris_emf import channel, orchestrator, ris_phase, trajectory
-from aris_emf.beamforming import BeamConstants, optimize_beamformer
+from aris_emf.beamforming import optimize_beamformer
 from aris_emf.channel import channel_gain, gram
 from aris_emf.convex_kernels import ConvexSolverError
 from aris_emf.exposure import (InfeasibleError, exposure_index, power_factor,
@@ -319,13 +319,11 @@ def per_slot_beam_candidate(state, ell):
     p = sc.params
     u, n = np.nonzero(state.delta[ell])
     h_eff = state.channels.effective(ell, n, u, state.thetas[ell])
-    consts = BeamConstants(rbar=state.shares[ell, u, n], sigma2=p.noise_per_re,
-                           bandwidth=p.bandwidth_per_re)
-    found, _ = optimize_beamformer(gram(h_eff), sc.sar_model, consts)
+    pf = power_factor(state.shares[ell, u, n], p.noise_per_re, p.bandwidth_per_re)
+    found, _ = optimize_beamformer(gram(h_eff), sc.sar_model, pf)
     new_gain = channel_gain(h_eff, found)
     new_sar = reference_sar(sc.sar_model, np.moveaxis(found.alpha, -1, 0),
                             found.beta[..., 1])
-    pf = consts.power_factor
     old_gain, old_sar = state.gamma[ell, u, n], state.sar[ell, u, n]
     take = (new_gain > 0) & (new_sar * pf / new_gain
                              <= old_sar * pf / old_gain * (1.0 + 1e-12))

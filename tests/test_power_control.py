@@ -117,7 +117,7 @@ def test_cap_binding_matches_barrier_solver():
             continue
         alloc, shares = allocate_power(np.ones(n), gamma, sar, target, p_cap,
                                        SIGMA2, W)
-        assert alloc.total == pytest.approx(p_cap, rel=1e-8)
+        assert alloc.powers.sum() == pytest.approx(p_cap, rel=1e-8)
         assert alloc.lam > 0
         assert shares.sum() == pytest.approx(target, rel=1e-8)
 
@@ -162,7 +162,7 @@ def test_complementary_slackness_normalized():
         except InfeasibleError:
             continue
         rate_slack = (shares.sum() - target) / W
-        power_slack = (alloc.total - p_max) / p_max
+        power_slack = (alloc.powers.sum() - p_max) / p_max
         assert abs(alloc.mu * W * rate_slack) <= 1e-8 * max(1.0, alloc.mu * W)
         assert abs(alloc.lam * power_slack) <= 1e-8 * max(1.0, alloc.lam)
         assert shares.sum() >= target * (1 - 1e-9)
@@ -240,7 +240,7 @@ def test_cap_at_the_least_spend_edge():
     alloc, shares = allocate_power(np.ones((3, 3)), gamma, sar, targets,
                                    least * (1 + 1e-9), SIGMA2, W)
     assert alloc.lam[2] > 0
-    assert alloc.total[2] <= least * (1 + 1e-9)
+    assert alloc.powers[2].sum() <= least * (1 + 1e-9)
     assert shares[2].sum() == pytest.approx(targets[2], rel=1e-9)
 
 
@@ -302,7 +302,7 @@ def test_unallocated_elements_stay_dark():
 def test_zero_target_returns_zeros():
     alloc, shares = allocate_power(np.ones(2), np.full(2, 1e-9), np.ones(2),
                                    0.0, 1.0, SIGMA2, W)
-    assert alloc.total == 0.0 and shares.sum() == 0.0
+    assert alloc.powers.sum() == 0.0 and shares.sum() == 0.0
     assert alloc.mu == 0.0 and alloc.lam == 0.0
 
 
