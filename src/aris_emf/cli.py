@@ -165,6 +165,10 @@ def _cmd_cdf(args):
     spec = SweepSpec("num_ris_elements", (n,), args.trials,
                      ("proposed", "no-ris"), scenario)
     result = monte_carlo_sweep(spec)
+    for scheme in spec.schemes:
+        if not result.max_samples[(n, scheme)]:
+            trial, message = result.failures[(n, scheme)][0]
+            raise InfeasibleError(f"{scheme} failed every trial; trial {trial}: {message}")
     with_aris = cdf_table(result.max_samples[(n, "proposed")])
     without = cdf_table(result.max_samples[(n, "no-ris")])
     print("max-exposure CDF (with surface):")

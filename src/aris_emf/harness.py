@@ -237,8 +237,7 @@ def trajectory_report(scenario, trial=0, eps=MC_EPS, knobs=MC_KNOBS):
     channel_set = ChannelSet(scenario, trial)
     state, _ = run_ao(scenario, trial=trial, eps=eps, knobs=knobs,
                       channel_set=channel_set)
-    direct = straight_trajectory(scenario.aris_start, scenario.aris_end,
-                                 p.num_slots).points
+    direct = straight_trajectory(scenario.aris_start, scenario.aris_end, p.num_slots)
     fixed, _ = hover_path(scenario, trial=trial, channel_set=channel_set)
     rows = []
     for name, path in (("optimized", state.trajectory), ("direct", direct),

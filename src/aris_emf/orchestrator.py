@@ -47,28 +47,12 @@ from .exposure import (ExposureReport, InfeasibleError, exposure_index,
 from .power_control import allocate_power
 from .re_alloc import allocate
 from .ris_phase import PhaseShiftVector, optimize_phases, uniform_phases
-from .trajectory import GainField, Trajectory, optimize_trajectory, straight_trajectory
+from .trajectory import GainField, check_path, optimize_trajectory, straight_trajectory
 
 NEUTRAL_BEAM = (1.0, 0.0)  # (alpha2, beta2) of every beam the search has not set
 CAP_SLACK = 1e-9         # relative slack on per-user power caps
 SLOT_ARRAYS = ("delta", "shares", "powers", "gamma", "sar", "beams", "thetas")
 HOVER_RESOLUTION = 1.0   # meters; the hover-point search stops below this radius
-
-# Path-block budgets during one AO run.  They favor speed on repeated
-# Monte Carlo runs; the per-module defaults (used when calling the path
-# optimizer directly) are stricter.  One linearized waypoint move per
-# outer iteration (TRAJ_X_ROUNDS = TRAJ_SCA_ITERS = 1) is the efficient
-# schedule here because the outer loop re-derives the gain field (beams,
-# phases and powers included) before every new attempt, which a standalone
-# multi-round search cannot do.  TRAJ_BARRIER_TOL bounds how far the path
-# subproblem's answer may sit above its optimum in the scaled surrogate (the
-# barrier's m/t); answers within it are equally valid, so a change in the
-# barrier's schedule moves waypoints (by up to 0.2 m on a desk round) while
-# the surrogate value moves by less than the tolerance.  The phase block's
-# step budget, tolerance and restarts are `ris_phase` constants.
-TRAJ_X_ROUNDS = 1
-TRAJ_SCA_ITERS = 1
-TRAJ_BARRIER_TOL = 1e-4
 
 
 @dataclass
@@ -160,8 +144,7 @@ class SolutionState:
                 if bad.any():
                     raise InfeasibleError(f"{what} violated in slot {ell} for users "
                                           f"{np.flatnonzero(bad).tolist()}")
-        Trajectory(self.trajectory).check(p.max_slot_distance,
-                                          sc.aris_start, sc.aris_end)
+        check_path(self.trajectory, p.max_slot_distance, sc.aris_start, sc.aris_end)
         return True
 
 
@@ -353,17 +336,15 @@ def _block_trajectory(state, phase_rngs, outer):
     p = sc.params
     if p.num_slots <= 2 or p.num_ris_elements == 0:
         return
-    new_traj = optimize_trajectory(
+    new_path = optimize_trajectory(
         state.trajectory, _trajectory_field(state), sc.user_positions, sc.bs_position,
-        p.max_slot_distance, max_x_rounds=TRAJ_X_ROUNDS,
-        max_sca_iters=TRAJ_SCA_ITERS, barrier_tol=TRAJ_BARRIER_TOL,
-        counters=state.counters)
-    if np.allclose(new_traj.points, state.trajectory, rtol=0, atol=1e-12):
+        p.max_slot_distance, counters=state.counters)
+    if np.allclose(new_path, state.trajectory, rtol=0, atol=1e-12):
         return
     # a scratch state sharing scenario and counters, with copied arrays
     cand = dataclasses.replace(
-        state, trajectory=new_traj.points, trace=[],
-        channels=state.channel_set.realize(new_traj.points),
+        state, trajectory=new_path, trace=[],
+        channels=state.channel_set.realize(new_path),
         **{fname: getattr(state, fname).copy() for fname in SLOT_ARRAYS})
     try:
         _refresh(cand)
@@ -403,8 +384,7 @@ def run_ao(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
     if channel_set is None:
         channel_set = ChannelSet(scenario, trial)
     if path is None:
-        path = straight_trajectory(scenario.aris_start, scenario.aris_end,
-                                   scenario.num_slots).points
+        path = straight_trajectory(scenario.aris_start, scenario.aris_end, scenario.num_slots)
     state = initialize_state(scenario, channel_set, path)
     if phase_mode == "random" and p.num_ris_elements > 0:
         for ell in range(p.num_slots):
@@ -490,7 +470,7 @@ def _hover_exposure(scenario, channel_set, position):
     pos = np.asarray([position[0], position[1], p.aris_height])
     try:
         state = initialize_state(
-            scenario, channel_set, straight_trajectory(pos, pos, p.num_slots).points)
+            scenario, channel_set, straight_trajectory(pos, pos, p.num_slots))
     except InfeasibleError:
         return np.inf
     return state.exposure()

@@ -145,11 +145,12 @@ def gaussian_randomization(theta_bar, r_mat, i_gr, rng):
 def optimize_phases(cascade, direct, delta, c_un, theta0, rng, counters=None):
     """Batched minorization-maximization ascent on one slot's proxy exposure.
 
-    cascade: (U, N_c, M_r, N) per-link reflected-path matrices; direct:
-    (U, N_c, M_r) per-link direct-path vectors (both already include the
-    current beamformers); delta: (U, N_c) allocation; c_un: (U, N_c) square
-    roots of power_factor * SAR at the current beamformers.  Only the links
-    with delta > 0 are read.  The columns of one (N, 1 + MM_RESTARTS) matrix
+    cascade: (..., M_r, N) per-link reflected-path matrices; direct:
+    (..., M_r) per-link direct-path vectors (both already include the
+    current beamformers); delta: (...) allocation; c_un: (...) square roots
+    of power_factor * SAR at the current beamformers.  The leading link axes
+    are delta's: the AO passes one slot's active links, (L, M_r, N) with
+    delta all ones.  Only the links with delta > 0 are read.  The columns of one (N, 1 + MM_RESTARTS) matrix
     ascend together: theta0 and random starts drawn from `rng`.  A step
     e = C theta + d, theta <- exp(j angle(C^H (w e) + mu theta)) with
     w = delta c^2 / gamma^2 is kept only if the column's value did not rise;

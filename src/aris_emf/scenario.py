@@ -166,6 +166,9 @@ class Scenario:
                            np.asarray(self.rate_targets, dtype=float).reshape(p.num_users))
         object.__setattr__(self, "aris_start", np.asarray(self.aris_start, dtype=float))
         object.__setattr__(self, "aris_end", np.asarray(self.aris_end, dtype=float))
+        for name in ("rate_targets", "aris_start", "aris_end", "cell_radius"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"invariant violated: {name} must be finite")
         if np.any(self.rate_targets <= 0):
             raise ValueError("invariant violated: rate_targets must be strictly positive")
         radii = np.hypot(self.user_positions[:, 0], self.user_positions[:, 1])
@@ -245,19 +248,19 @@ class ConfigError(ValueError):
 
 
 def _typed(key, value):
-    """A number, or numbers, in SI units as `key`'s int, float, pair or list."""
+    """Finite number(s) in SI units as `key`'s int, float, pair or list."""
     kind = _KINDS[key]
     if kind == "int":
         v = float(value)
         if not math.isfinite(v) or abs(v - round(v)) > 1e-12:
             raise ValueError(f"{key} must be an integer")
         return int(round(v))
-    if kind == "float":
-        return float(value)
-    value = tuple(float(v) for v in value)
-    if kind == "pair" and len(value) != 2:
+    nums = (float(value),) if kind == "float" else tuple(float(v) for v in value)
+    if not all(map(math.isfinite, nums)):
+        raise ValueError(f"{key} must be finite")
+    if kind == "pair" and len(nums) != 2:
         raise ValueError(f"{key} needs exactly 2 values")
-    return value
+    return nums[0] if kind == "float" else nums
 
 
 def _parse_list(text, scalar=False):
@@ -352,7 +355,7 @@ def scenario_from_options(options):
         raise ConfigError(f"{key} must have 2 or 3 coordinates")
 
     radius = float(extra["users.radius"])
-    seed = int(extra["seed"])
+    seed = _typed("seed", extra["seed"])
     users = sample_user_positions(_position_rng(seed), radius, params.num_users)
     return Scenario(
         params=params,

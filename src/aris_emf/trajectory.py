@@ -7,18 +7,19 @@ position decomposes into pure distance power laws,
 
 with u the user-platform distance, v the platform-base-station distance,
 a >= 0 the reflected-path energy, b the reflected/direct cross term, and
-resid the direct-path floor.  The exposure proxy sum_links c^2/gamma is
-handled in two nested loops: an outer ratio transform fixing auxiliary
-weights x = c/gamma, and an inner sequence of convex subproblems where the
-slack-relaxed distance terms are tangent-linearized at the current point
-(terms convex in the minimization, i.e. b < 0 cross terms, are kept exact).
-Slack lower bounds use the linearized square trick d^2 + u0^2 - 2*u0*u <= 0,
-which implies the true bound u >= d for any expansion point u0.
+resid the direct-path floor.  A round on the exposure proxy
+sum_links c^2/gamma fixes the ratio transform's weights x = c/gamma at the
+current path and solves one convex subproblem, its slack-relaxed distance
+terms tangent-linearized at the current point (b < 0 cross terms, convex in
+the minimization, are kept exact).  The alternating optimization runs the
+rounds, re-deriving the gain field before each.  Slack lower bounds use the
+linearized square trick d^2 + u0^2 - 2*u0*u <= 0, which implies the true
+bound u >= d for any expansion point u0.
 
 Positions move only at interior slots; endpoints stay pinned and per-slot
-displacement stays within the platform's speed limit.  Every candidate path
-is re-scored against the frozen-fading proxy and accepted only if it does
-not increase, so the returned path is never worse than the input.
+displacement stays within the platform's speed limit.  The moved path is
+kept only if the frozen-fading proxy does not rise, so a round never
+returns a worse path than it was given.
 """
 
 from __future__ import annotations
@@ -39,39 +40,32 @@ from .ris_phase import quad_transform_y
 # 19-30.
 SLACK_LIFT = 1e-6
 START_LIFT = 1.1
+# How far the subproblem's answer may sit above its optimum in the scaled
+# surrogate (the barrier's m/t).  Answers within it are equally valid, so a
+# change in the barrier's schedule moves waypoints (by up to 0.2 m on a desk
+# round) while the surrogate value moves by less than the tolerance.
+BARRIER_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Platform waypoints, one per slot, at fixed altitude."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
-            raise ValueError(f"expected (num_slots >= 2, 3) waypoints, got {pts.shape}")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def steps(self):
-        return np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-
-    def check(self, max_step, start=None, end=None):
-        worst = float(self.steps().max())
-        if worst > max_step + 1e-6:
-            raise ValueError(f"slot displacement {worst:.6g} m exceeds {max_step:.6g} m")
-        if start is not None and not np.array_equal(self.points[0], np.asarray(start)):
-            raise ValueError("start waypoint is not pinned")
-        if end is not None and not np.array_equal(self.points[-1], np.asarray(end)):
-            raise ValueError("end waypoint is not pinned")
+def check_path(points, max_step, start, end):
+    """Raises ValueError unless points holds (num_slots >= 2, 3) waypoints
+    from `start` to `end` whose every slot move is within max_step."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
+        raise ValueError(f"expected (num_slots >= 2, 3) waypoints, got {pts.shape}")
+    worst = float(np.linalg.norm(np.diff(pts, axis=0), axis=1).max())
+    if worst > max_step + 1e-6:
+        raise ValueError(f"slot displacement {worst:.6g} m exceeds {max_step:.6g} m")
+    if not np.array_equal(pts[0], start):
+        raise ValueError("start waypoint is not pinned")
+    if not np.array_equal(pts[-1], end):
+        raise ValueError("end waypoint is not pinned")
 
 
 def straight_trajectory(start, end, num_slots):
-    """Uniformly spaced waypoints on the segment start -> end."""
+    """(num_slots, 3) uniformly spaced waypoints on the segment start -> end."""
     frac = np.linspace(0.0, 1.0, num_slots)[:, None]
-    return Trajectory((1.0 - frac) * np.asarray(start, dtype=float)
-                      + frac * np.asarray(end, dtype=float))
+    return (1.0 - frac) * np.asarray(start, dtype=float) + frac * np.asarray(end, dtype=float)
 
 
 def link_distances(points, user_positions, bs_position):
@@ -170,7 +164,7 @@ def _collapse_weights(state, gain_field):
 
 
 def sca_step(state, gain_field, user_positions, bs_position, max_step,
-             barrier_tol=1e-8):
+             barrier_tol=BARRIER_TOL):
     """One tangent-linearized subproblem solve.
 
     The F = N_T - 2 interior waypoints move; the program's variables are
@@ -328,50 +322,21 @@ def sca_step(state, gain_field, user_positions, bs_position, max_step,
 
 
 def optimize_trajectory(points, gain_field, user_positions, bs_position, max_step,
-                        eps5=1e-4, max_x_rounds=30, max_sca_iters=50,
-                        barrier_tol=1e-8, history=None, counters=None):
-    """Full alternating loop over ratio weights and waypoint refinements.
-
-    points: (N_T, 3) current waypoints (endpoints treated as pinned).
-    history, when a list, collects the frozen-fading proxy after every
-    accepted inner iteration.  counters, when a dict, has its "sca_iters"
-    entry raised by one for every accepted inner iteration and its
-    "path_fallbacks" entry for every subproblem whose solve failed
-    (sca_step warns and keeps the waypoints).  Returns a Trajectory
-    that never scores worse than the input on the frozen-fading proxy.
-    """
+                        counters=None):
+    """One round from the (N_T, 3) waypoints `points`, endpoints pinned:
+    weights and slacks taken there, then one `sca_step`, whose move is kept
+    unless it raises the frozen-fading proxy by more than 1e-12 relative.
+    The alternating optimization runs the rounds.  counters, when a dict,
+    has "sca_iters" raised by one for a kept move and "path_fallbacks" for
+    a failed subproblem solve.  Returns (N_T, 3) waypoints."""
     state = make_sca_state(points, gain_field, user_positions, bs_position)
-    if history is not None:
-        history.append(state.objective)
-    x_aux, x_prev = state.x_aux, None  # the first round keeps the start's weights
-    for _ in range(max_x_rounds):
-        if x_prev is not None:
-            x_aux = gain_field.weights(*link_distances(state.points, user_positions,
-                                                       bs_position))
-            drift = float(np.linalg.norm(x_aux - x_prev))
-            if drift <= eps5 * max(1e-300, float(np.linalg.norm(x_prev))):
-                break
-        x_prev = x_aux
-        state = replace(state, x_aux=x_aux)
-
-        # no barrier warm start here: accepted iterates ride the speed-limit
-        # boundary, where a restarted high-t barrier stalls
-        for _ in range(max_sca_iters):
-            new_state = sca_step(state, gain_field, user_positions, bs_position,
-                                 max_step, barrier_tol=barrier_tol)
-            if new_state is state:
-                if counters is not None:
-                    counters["path_fallbacks"] += 1
-                break
-            prev = state.objective
-            if new_state.objective > prev * (1.0 + 1e-12):
-                break  # surrogate descent did not carry to the true proxy
-            moved = float(np.max(np.abs(new_state.points - state.points)))
-            state = new_state
-            if counters is not None:
-                counters["sca_iters"] += 1
-            if history is not None:
-                history.append(state.objective)
-            if moved <= 1e-9 or prev - state.objective <= 1e-6 * prev:
-                break
-    return Trajectory(state.points)
+    new_state = sca_step(state, gain_field, user_positions, bs_position, max_step)
+    if new_state is state:
+        if counters is not None:
+            counters["path_fallbacks"] += 1
+        return state.points
+    if new_state.objective > state.objective * (1.0 + 1e-12):
+        return state.points  # surrogate descent did not carry to the true proxy
+    if counters is not None:
+        counters["sca_iters"] += 1
+    return new_state.points

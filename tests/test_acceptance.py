@@ -250,7 +250,7 @@ def test_criterion_5_sca_soundness():
     for seed in range(20):
         frng = np.random.default_rng(5100 + seed)
         field, users = _random_field(frng)
-        pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6).points
+        pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6)
         state = make_sca_state(pts, field, users, bs)
         new = sca_step(state, field, users, bs, d_max, barrier_tol=1e-6)
         if new is not state:
@@ -263,9 +263,11 @@ def test_criterion_5_sca_soundness():
                     or not np.allclose(new.points[0], pts[0])
                     or not np.allclose(new.points[-1], pts[-1])):
                 feas_bad += 1
-        history = []
-        optimize_trajectory(pts, field, users, bs, d_max, barrier_tol=1e-6,
-                            history=history)
+        history = [field.proxy(*link_distances(pts, users, bs))]
+        path = pts
+        for _ in range(10):
+            path = optimize_trajectory(path, field, users, bs, d_max)
+            history.append(field.proxy(*link_distances(path, users, bs)))
         for earlier, later in zip(history, history[1:]):
             if later > earlier * (1 + 1e-12):
                 monotone = False

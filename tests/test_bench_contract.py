@@ -8,9 +8,12 @@ than only when the benchmark runs.  perfbench/ is imported, never changed.
 
 import importlib.util
 import inspect
+import warnings
 from contextlib import ExitStack
 from pathlib import Path
 
+from aris_emf import trajectory
+from aris_emf.convex_kernels import ConvexSolverError
 from aris_emf.harness import MC_EPS, MC_KNOBS
 from aris_emf.orchestrator import baseline_fixed_ris, run_ao
 from aris_emf.ris_phase import optimize_phases
@@ -124,3 +127,23 @@ def test_link_primitives_the_benchmark_times_are_called_in_a_desk_run():
         baseline_fixed_ris(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1,
                            knobs=MC_KNOBS)
     assert tracer.totals()["orchestrator.fixed_position_search"][0] > 0
+
+
+def test_failed_path_solves_read_as_kept_steps_and_fallbacks(monkeypatch):
+    # instrument._observe_sca counts a step as kept when sca_step hands back
+    # its input object, which it does when the path subproblem fails;
+    # optimize_trajectory counts its fallbacks by the same identity
+    def fail(*args, **kwargs):
+        raise ConvexSolverError("synthetic failure")
+
+    tracer = instrument.Tracer()
+    with warnings.catch_warnings(), ExitStack() as stack:
+        warnings.simplefilter("always", RuntimeWarning)
+        tracer.install(stack)
+        stack.enter_context(monkeypatch.context()).setattr(
+            trajectory, "solve_convex_program", fail)
+        state, _ = run_ao(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1,
+                          knobs=MC_KNOBS)
+    assert tracer.counts["trajectory.sca_step.kept"] > 0
+    assert tracer.counts["trajectory.fallbacks"] > 0
+    assert state.counters["path_fallbacks"] == tracer.totals()["trajectory.sca_step"][0]

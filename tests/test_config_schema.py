@@ -9,7 +9,7 @@ import pytest
 
 from aris_emf.cli import main
 from aris_emf.harness import SweepSpec, monte_carlo_sweep
-from aris_emf.scenario import (ConfigError, SystemParams, db_to_linear,
+from aris_emf.scenario import (_KINDS, ConfigError, SystemParams, db_to_linear,
                                desk_scenario, dbm_to_watts, load_scenario,
                                load_scenario_text, save_scenario,
                                scenario_from_options)
@@ -90,6 +90,25 @@ def test_integer_keys_reject_fractions_and_infinities():
                  "num_users = [3]"):
         with pytest.raises(ConfigError, match="line 1"):
             load_scenario_text(text)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("key", sorted(k for k, kind in _KINDS.items()
+                                       if kind not in ("str", "bool")))
+def test_non_finite_values_are_rejected(key, bad, tmp_path, capsys):
+    # NaN passes every `x <= 0` check: one non-finite number in any key
+    # stops the load, from a config file (exit 1) and in memory alike
+    cfg = tmp_path / "desk.cfg"
+    save_scenario(desk_scenario(), cfg)
+    saved = dict(line.split(" = ", 1) for line in cfg.read_text().splitlines())
+    numbers = [bad] + saved.pop(key, "0").strip("[]").split(", ")[1:]
+    saved[key] = ", ".join(numbers)
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in saved.items()))
+    assert main(["optimize", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    value = [float(x) for x in numbers]
+    with pytest.raises(ValueError):
+        desk_scenario(**{key: value[0] if _KINDS[key] in ("int", "float") else tuple(value)})
 
 
 def test_cli_noise_values_read_as_config_dbm_per_hz(capsys):

@@ -314,6 +314,9 @@ def test_cli_exit_codes(config_path, tmp_path, capsys):
     infeasible.write_text("num_users = 4\nnum_subcarriers = 8\n"
                           "p_max = -40\nrates = [8e6, 6.5e6, 7.5e6, 5e6]\n")
     assert main(["optimize", "--config", str(infeasible)]) == 2
+    assert main(["trajectory", "--config", str(infeasible)]) == 2
+    assert main(["cdf", "--config", str(infeasible), "--trials", "1"]) == 2
+    assert "infeasible: proposed failed every trial" in capsys.readouterr().err
     assert main(["sweep", "--config", config_path, "--param", "bogus",
                  "--values", "1"]) == 1
     assert main(["sweep", "--config", config_path, "--param", "n",

@@ -36,8 +36,7 @@ FULL_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "full.c
 
 
 def straight_path(scenario):
-    return straight_trajectory(scenario.aris_start, scenario.aris_end,
-                               scenario.num_slots).points
+    return straight_trajectory(scenario.aris_start, scenario.aris_end, scenario.num_slots)
 
 
 def make_state(scenario, trial=0):
@@ -106,7 +105,7 @@ def test_initialization_checks_caps_at_the_given_path():
     # a cap the straight start meets, broken by a start parked elsewhere
     sc = desk_scenario()
     pos = np.array([-50.0, -50.0, sc.params.aris_height])
-    parked = straight_trajectory(pos, pos, sc.num_slots).points
+    parked = straight_trajectory(pos, pos, sc.num_slots)
     straight_spend = make_state(sc).powers.sum(axis=2).max()
     parked_state = initialize_state(sc, ChannelSet(sc, 0), parked)
     parked_spend = parked_state.powers.sum(axis=2).max()

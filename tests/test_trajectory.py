@@ -8,11 +8,11 @@ import pytest
 
 from aris_emf.convex_kernels import ConvexProgram, ConvexSolverError, solve_convex_program
 from aris_emf.exposure import InfeasibleError
-from aris_emf.orchestrator import TRAJ_BARRIER_TOL
 from aris_emf.trajectory import (
+    BARRIER_TOL,
     GainField,
-    Trajectory,
     _collapse_weights,
+    check_path,
     link_distances,
     linearize_gain_terms,
     make_sca_state,
@@ -43,6 +43,16 @@ def desk_fixture(seed, n_slots=6, n_users=4, n_res=8):
 def proxy_at(field, points, users):
     d_ur, d_rb = link_distances(points, users, BS)
     return field.proxy(d_ur, d_rb)
+
+
+def repeated_moves(pts, field, users, max_step, rounds=10):
+    """(history, waypoints): the proxy at pts and after each of `rounds`
+    path moves in a row, and the waypoints the last move left."""
+    history = [proxy_at(field, pts, users)]
+    for _ in range(rounds):
+        pts = optimize_trajectory(pts, field, users, BS, max_step)
+        history.append(proxy_at(field, pts, users))
+    return history, pts
 
 
 def test_ratio_weights_match_closed_form():
@@ -107,22 +117,24 @@ def test_slack_surrogate_implies_true_bound():
 
 def test_straight_trajectory_spacing():
     tr = straight_trajectory([0.0, 0.0, 50.0], [90.0, 0.0, 50.0], 4)
-    np.testing.assert_allclose(tr.steps(), 30.0)
-    np.testing.assert_allclose(tr.points[0], [0.0, 0.0, 50.0])
-    np.testing.assert_allclose(tr.points[-1], [90.0, 0.0, 50.0])
+    np.testing.assert_allclose(np.linalg.norm(np.diff(tr, axis=0), axis=1), 30.0)
+    np.testing.assert_allclose(tr[0], [0.0, 0.0, 50.0])
+    np.testing.assert_allclose(tr[-1], [90.0, 0.0, 50.0])
 
 
-def test_trajectory_type_validates():
-    with pytest.raises(ValueError):
-        Trajectory(np.zeros((1, 3)))
-    with pytest.raises(ValueError):
-        Trajectory(np.zeros((4, 2)))
-    tr = straight_trajectory([0, 0, 50], [300, 0, 50], 3)
+def test_check_path_validates():
+    start, end = [0, 0, 50], [300, 0, 50]
+    for bad in (np.zeros((1, 3)), np.zeros((4, 2))):
+        with pytest.raises(ValueError, match="waypoints"):
+            check_path(bad, 200.0, start, end)
+    tr = straight_trajectory(start, end, 3)
     with pytest.raises(ValueError, match="displacement"):
-        tr.check(100.0)
+        check_path(tr, 100.0, start, end)
     with pytest.raises(ValueError, match="start"):
-        tr.check(200.0, start=[1.0, 0.0, 50.0])
-    tr.check(200.0, start=[0, 0, 50], end=[300, 0, 50])
+        check_path(tr, 200.0, [1.0, 0.0, 50.0], end)
+    with pytest.raises(ValueError, match="end"):
+        check_path(tr, 200.0, start, [300.0, 1.0, 50.0])
+    check_path(tr, 200.0, start, end)
 
 
 def test_gain_field_validates():
@@ -146,9 +158,9 @@ def test_proxy_rejects_cancelled_gain():
 
 def test_two_slot_path_is_pinned():
     field, users = desk_fixture(0, n_slots=2)
-    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 2).points
+    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 2)
     out = optimize_trajectory(pts, field, users, BS, 150.0)
-    np.testing.assert_array_equal(out.points, pts)
+    np.testing.assert_array_equal(out, pts)
     state = make_sca_state(pts, field, users, BS)
     stepped = sca_step(state, field, users, BS, 150.0)
     d_ur, d_rb = link_distances(pts, users, BS)
@@ -156,24 +168,17 @@ def test_two_slot_path_is_pinned():
     np.testing.assert_allclose(stepped.v_slack, d_rb)
 
 
-def test_zero_rounds_returns_input():
-    field, users = desk_fixture(1)
-    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6).points
-    out = optimize_trajectory(pts, field, users, BS, 150.0, max_x_rounds=0)
-    np.testing.assert_array_equal(out.points, pts)
-
-
 def test_midpoint_matches_grid_search():
     # one user below the route, one free waypoint: the refined midpoint must
     # land within 2 m of an exhaustive 0.5 m grid search over the reachable
     # lens, and match its proxy value
     users = np.array([[0.0, 0.0, 0.0]])
-    pts = straight_trajectory([-50.0, 40.0, 30.0], [50.0, 40.0, 30.0], 3).points
+    pts = straight_trajectory([-50.0, 40.0, 30.0], [50.0, 40.0, 30.0], 3)
     shape = (3, 1, 1)
     field = GainField(np.ones(shape), np.ones(shape), np.full(shape, 1e7),
                       np.zeros(shape), np.full(shape, 1e-4), 2.0, 2.0)
     out = optimize_trajectory(pts, field, users, BS, 60.0)
-    out.check(60.0, pts[0], pts[-1])
+    check_path(out, 60.0, pts[0], pts[-1])
 
     best_val, best_q = np.inf, None
     for gx in np.arange(-12.0, 12.01, 0.5):
@@ -187,53 +192,38 @@ def test_midpoint_matches_grid_search():
             val = proxy_at(field, cand, users)
             if val < best_val:
                 best_val, best_q = val, q
-    assert np.linalg.norm(out.points[1] - best_q) <= 2.0
-    assert proxy_at(field, out.points, users) <= best_val * (1.0 + 1e-3)
+    assert np.linalg.norm(out[1] - best_q) <= 2.0
+    assert proxy_at(field, out, users) <= best_val * (1.0 + 1e-3)
 
 
 def test_proxy_history_non_increasing():
     field, users = desk_fixture(3)
-    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6).points
-    history = []
-    out = optimize_trajectory(pts, field, users, BS, 150.0,
-                              barrier_tol=1e-6, history=history)
-    assert len(history) >= 2
+    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6)
+    history, out = repeated_moves(pts, field, users, 150.0)
     for earlier, later in zip(history, history[1:]):
         assert later <= earlier * (1.0 + 1e-12)
     assert history[-1] < history[0]
-    out.check(150.0, pts[0], pts[-1])
+    check_path(out, 150.0, pts[0], pts[-1])
 
 
 def test_desk_scale_paths_beat_direct_line():
-    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6).points
+    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6)
     wins = 0
     for seed in range(20):
         field, users = desk_fixture(100 + seed)
-        out = optimize_trajectory(pts, field, users, BS, 150.0,
-                                  barrier_tol=1e-6, max_sca_iters=3)
-        out.check(150.0, pts[0], pts[-1])
+        out = optimize_trajectory(pts, field, users, BS, 150.0)
+        check_path(out, 150.0, pts[0], pts[-1])
         before = proxy_at(field, pts, users)
-        after = proxy_at(field, out.points, users)
+        after = proxy_at(field, out, users)
         assert after <= before * (1.0 + 1e-12)
         if after < before * (1.0 - 1e-9):
             wins += 1
     assert wins >= 18
 
 
-def test_huge_tolerance_stops_after_one_round():
-    field, users = desk_fixture(5)
-    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6).points
-    loose = optimize_trajectory(pts, field, users, BS, 150.0, eps5=1e9,
-                                barrier_tol=1e-6)
-    single = optimize_trajectory(pts, field, users, BS, 150.0, max_x_rounds=1,
-                                 barrier_tol=1e-6)
-    np.testing.assert_array_equal(loose.points, single.points)
-    assert proxy_at(field, loose.points, users) <= proxy_at(field, pts, users)
-
-
 def test_slacks_stay_feasible_after_step():
     field, users = desk_fixture(6)
-    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6).points
+    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6)
     state = make_sca_state(pts, field, users, BS)
     d_ur, d_rb = link_distances(pts, users, BS)
     x = np.zeros_like(field.c_un)
@@ -258,10 +248,10 @@ def test_solver_failure_keeps_waypoints(monkeypatch):
 
     monkeypatch.setattr(traj_mod, "solve_convex_program", boom)
     field, users = desk_fixture(8)
-    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6).points
+    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6)
     with pytest.warns(RuntimeWarning, match="keeping current waypoints"):
         out = optimize_trajectory(pts, field, users, BS, 150.0)
-    np.testing.assert_array_equal(out.points, pts)
+    np.testing.assert_array_equal(out, pts)
 
 
 def test_mixed_sign_cross_terms_still_descend():
@@ -273,13 +263,11 @@ def test_mixed_sign_cross_terms_still_descend():
     field = GainField(np.ones(shape), rng.uniform(0.5, 2.0, shape), a,
                       -np.sqrt(a) * 1e-2, rng.uniform(1e-5, 1e-3, shape),
                       2.0, 2.2)
-    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 5).points
-    history = []
-    out = optimize_trajectory(pts, field, users, BS, 150.0, barrier_tol=1e-6,
-                              history=history)
+    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 5)
+    history, out = repeated_moves(pts, field, users, 150.0)
     for earlier, later in zip(history, history[1:]):
         assert later <= earlier * (1.0 + 1e-12)
-    out.check(150.0, pts[0], pts[-1])
+    check_path(out, 150.0, pts[0], pts[-1])
 
 
 def reference_step_points(state, field, users, max_step, barrier_tol):
@@ -391,7 +379,7 @@ def test_step_matches_the_per_term_reference(seed):
     delta[3] = 0.0
     delta[2, 0] = 0.0
     field = replace(field, delta=delta)
-    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6).points
+    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6)
     state = make_sca_state(pts, field, users, BS)
     stepped = sca_step(state, field, users, BS, 150.0, barrier_tol=1e-10)
     want = reference_step_points(state, field, users, 150.0, barrier_tol=1e-10)
@@ -421,7 +409,7 @@ def record_path_solves(monkeypatch):
 
 
 def first_step_at(field, users, barrier_tol):
-    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6).points
+    pts = straight_trajectory([-80, 55, 100], [100, 20, 100], 6)
     state = make_sca_state(pts, field, users, BS)
     return sca_step(state, field, users, BS, 150.0, barrier_tol=barrier_tol)
 
@@ -433,7 +421,7 @@ def test_path_solve_newton_budget(monkeypatch):
     # where a start on the boundary with rounds of t x4 took 85
     solves = record_path_solves(monkeypatch)
     for seed in range(12):
-        first_step_at(*desk_fixture(seed), TRAJ_BARRIER_TOL)
+        first_step_at(*desk_fixture(seed), BARRIER_TOL)
     assert {prog.dim for prog, *_ in solves} == {28}
     assert np.median([steps for *_, steps in solves]) <= 70
 
@@ -448,8 +436,8 @@ def test_path_solve_is_within_its_tolerance_of_a_tight_solve(seed, monkeypatch):
     delta = field.delta.copy()
     delta[3] = 0.0
     delta[2, 0] = 0.0
-    first_step_at(replace(field, delta=delta), users, TRAJ_BARRIER_TOL)
+    first_step_at(replace(field, delta=delta), users, BARRIER_TOL)
     (prog, x0, kwargs, sol, _), = solves
     tight = solve_convex_program(prog, x0, **{**kwargs, "tol": 1e-10})
     gap = prog.objective_value(sol) - prog.objective_value(tight)
-    assert -1e-9 <= gap <= TRAJ_BARRIER_TOL
+    assert -1e-9 <= gap <= BARRIER_TOL
