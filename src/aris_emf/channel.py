@@ -11,9 +11,8 @@ formed for the entries an index selects, one slot group's links in the AO
 
 The LoS steering angles follow the geometry convention of the reference
 model: the user->surface link uses the y-displacement over distance for both
-arrival and departure sines (set ``departure_uses_x`` on the Scenario to use
-the x-displacement on the departure side instead); the surface->BS link uses
-(x_B - x) / d for both.
+its arrival and departure sines, and the surface->BS link uses (x_B - x) / d
+for both.
 
 Beams have one type, the BEAM_DTYPE record array of `beam_array`, and the
 gain kernels have one call form: a (..., M_r, 2) channel stack and a beam
@@ -35,6 +34,10 @@ LINK_H = 2          # surface -> BS fading
 LINK_HD = 3         # direct-link fading
 STREAM_GR = 4       # random starts of the phase ascent
 STREAM_RANDOM_PHASE = 5  # the random-phase benchmark
+
+# Every user transmits on two antennas: the SAR polynomial of `exposure` and
+# the beam search of `beamforming` are defined for exactly two, as is BEAM_DTYPE.
+TX_ANTENNAS = 2
 
 GROUP_LINKS = 128   # links a slot group may hold, unless one slot has more
 
@@ -206,7 +209,7 @@ class ChannelSet:
         self.scenario = scenario
         self.trial = int(trial)
         nt, nc, u = p.num_slots, p.num_subcarriers, p.num_users
-        n, mr, mt = p.num_ris_elements, p.rx_antennas, p.tx_antennas
+        n, mr, mt = p.num_ris_elements, p.rx_antennas, TX_ANTENNAS
         seed = scenario.rng_seed
 
         self._wg = np.zeros((nt, nc, u, n, mt), dtype=complex)
@@ -256,8 +259,7 @@ class ChannelSet:
             return np.exp(-1j * TWO_PI * p.antenna_spacing_ratio * np.arange(m) * sines[..., None])
 
         sin_ur = diff[:, :, 1] / d_ur                       # (N_T, U)
-        sin_ud = diff[:, :, 0] / d_ur if sc.departure_uses_x else sin_ur
-        ar_n, at_m = steer(p.num_ris_elements, sin_ur), steer(p.tx_antennas, sin_ud)
+        ar_n, at_m = steer(p.num_ris_elements, sin_ur), steer(TX_ANTENNAS, sin_ur)
         los_g = ar_n[:, :, :, None] * at_m.conj()[:, :, None, :]   # (N_T, U, N, M_t)
 
         sin_rb = (sc.bs_position[0] - q[:, 0]) / d_rb

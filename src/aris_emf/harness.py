@@ -120,13 +120,13 @@ def export_table(table, fmt, path):
 def _run_scheme(scheme, scenario, trial, eps, knobs, channel_set, direct=None):
     """One scheme's report on the trial's channel_set; `fixed` charges its
     travel slots at `direct`, the trial's no-ris report, when given."""
-    args = dict(trial=trial, eps=eps, knobs=knobs, channel_set=channel_set)
+    args = dict(trial=trial, eps=eps, channel_set=channel_set)
     if scheme == "proposed":
-        return run_ao(scenario, **args)[1]
+        return run_ao(scenario, knobs=knobs, **args)[1]
     if scheme == "fixed":
         return baseline_fixed_ris(scenario, direct=direct, **args)
     if scheme in ("random", "zero"):
-        return run_ao(scenario, phase_mode=scheme, label=scheme, **args)[1]
+        return run_ao(scenario, knobs=knobs, phase_mode=scheme, label=scheme, **args)[1]
     if scheme == "no-ris":
         return baseline_no_ris(scenario, **args)
     raise ValueError(f"unknown scheme {scheme!r}")
@@ -137,11 +137,10 @@ class SweepResult:
     """Aggregated sweep output plus the raw per-trial samples."""
 
     table: Table
-    # (value, scheme) -> list of per-trial exposure indices (successes only)
-    samples: dict = field(default_factory=dict)
     # (value, scheme) -> list of per-trial max per-user exposure
     max_samples: dict = field(default_factory=dict)
-    # (value, scheme) -> {trial: exposure index}, for paired comparisons
+    # (value, scheme) -> {trial: exposure index} of the successful trials in
+    # trial order: the table's samples, and the pairs of paired comparisons
     by_trial: dict = field(default_factory=dict)
     failures: dict = field(default_factory=dict)
 
@@ -166,7 +165,6 @@ def monte_carlo_sweep(spec, eps=MC_EPS, knobs=MC_KNOBS, progress=None):
         keys = {scheme: (point, scheme)
                 for scheme in sorted(spec.schemes, key=lambda s: s != "no-ris")}
         for key in keys.values():
-            result.samples[key] = []
             result.max_samples[key] = []
             result.by_trial[key] = {}
             result.failures[key] = []
@@ -181,14 +179,13 @@ def monte_carlo_sweep(spec, eps=MC_EPS, knobs=MC_KNOBS, progress=None):
                     result.failures[key].append((trial, str(exc)))
                     continue
                 reports[scheme] = report
-                result.samples[key].append(report.exposure_index)
                 result.by_trial[key][trial] = report.exposure_index
                 per_user = report.per_user_index(scn.params.slot_duration)
                 result.max_samples[key].append(float(per_user.max()))
                 if progress is not None:
                     progress(point, scheme, trial, report.exposure_index)
         for scheme in sorted(spec.schemes):
-            vals = result.samples[keys[scheme]]
+            vals = list(result.by_trial[keys[scheme]].values())
             fails = len(result.failures[keys[scheme]])
             if vals:
                 mean = float(np.mean(vals))

@@ -384,7 +384,7 @@ def run_ao(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
     if channel_set is None:
         channel_set = ChannelSet(scenario, trial)
     if path is None:
-        path = straight_trajectory(scenario.aris_start, scenario.aris_end, scenario.num_slots)
+        path = straight_trajectory(scenario.aris_start, scenario.aris_end, p.num_slots)
     state = initialize_state(scenario, channel_set, path)
     if phase_mode == "random" and p.num_ris_elements > 0:
         for ell in range(p.num_slots):
@@ -446,8 +446,7 @@ def _accept(state, name, ok, cand):
 # benchmark schemes
 # ---------------------------------------------------------------------------
 
-def baseline_no_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
-                    channel_set=None):
+def baseline_no_ris(scenario, trial=0, eps=1e-4, max_outer=10, channel_set=None):
     """Direct links only: the surface (and hence its phases and the flight
     path) is removed; beams and powers still optimize.  A given channel_set
     (the trial's, with the surface) lends its direct-link draws."""
@@ -456,8 +455,7 @@ def baseline_no_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
     if channel_set is not None:
         channel_set = channel_set.without_surface(bare)
     _, report = run_ao(bare, trial=trial, eps=eps, max_outer=max_outer,
-                       knobs=knobs, enable_trajectory=False, label="no-ris",
-                       channel_set=channel_set)
+                       enable_trajectory=False, label="no-ris", channel_set=channel_set)
     return report
 
 
@@ -536,8 +534,8 @@ def hover_path(scenario, trial=0, channel_set=None):
     return march_path(scenario.aris_start, hover, p.max_slot_distance, p.num_slots), hover
 
 
-def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
-                       channel_set=None, direct=None):
+def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, channel_set=None,
+                       direct=None):
     """Surface hovering at a recursively chosen spot; slots spent flying
     there are charged at the no-surface policy's exposure.
 
@@ -556,14 +554,14 @@ def baseline_fixed_ris(scenario, trial=0, eps=1e-4, max_outer=10, knobs=None,
     travel = ~np.all(np.isclose(path, hover[None, :]), axis=1)
 
     pinned = dataclasses.replace(scenario, aris_start=path[0], aris_end=path[-1])
-    _, report = run_ao(pinned, trial=trial, eps=eps, max_outer=max_outer, knobs=knobs,
+    _, report = run_ao(pinned, trial=trial, eps=eps, max_outer=max_outer,
                        enable_trajectory=False, label="fixed-ris",
                        channel_set=channel_set, path=path)
     if not np.any(travel):
         return report
     if direct is None:
         direct = baseline_no_ris(scenario, trial=trial, eps=eps, max_outer=max_outer,
-                                 knobs=knobs, channel_set=channel_set)
+                                 channel_set=channel_set)
     per_user = report.per_user_exposure.copy()
     per_user[:, travel] = direct.per_user_exposure[:, travel]
     return ExposureReport(per_user, exposure_index(per_user, p.slot_duration),

@@ -8,7 +8,11 @@ converted to linear/SI when the file is loaded.
 
 The config schema lives here once: each key's kind comes from its
 `SystemParams` field or from `_EXTRAS`, and its file unit from `_UNITS`;
-loading, saving and the sweep command line all read it.
+loading, saving and the sweep command line all read it. Every key changes
+a result. Two quantities of the model are therefore not keys: the slot count,
+which follows from `flight_time / slot_duration`, and the transmitter's two
+antennas (`channel.TX_ANTENNAS`), the only count the exposure polynomial is
+defined for.
 """
 
 from __future__ import annotations
@@ -67,27 +71,27 @@ class SystemParams:
 
     Each field's annotation is its config kind (`tuple` is a pair), and
     construction types every value to it, so a count given as 8.0 is 8.
-    num_slots must equal flight_time / slot_duration exactly; the maximum
-    per-slot displacement v_max * slot_duration is derived, never stored.
+    Two values are derived, never stored: the slot count num_slots =
+    flight_time / slot_duration, which must be a whole number of at least 2
+    (a flight path's first and last slots are its two fixed ends), and the maximum
+    per-slot displacement v_max * slot_duration. Each user transmits on
+    `channel.TX_ANTENNAS` = 2 antennas, so there is no antenna-count field.
     """
 
     num_users: int = 8
     num_subcarriers: int = 80
     num_ris_elements: int = 80
     rx_antennas: int = 32
-    tx_antennas: int = 2
     bs_height: float = 25.0
     aris_height: float = 100.0
     slot_duration: float = 15.0
     flight_time: float = 300.0
-    num_slots: int = 0  # 0: derive from flight_time / slot_duration
     v_max: float = 25.0
     bandwidth_per_re: float = 240e3
     los_pathloss_ref: float = db_to_linear(-24.91)
     nlos_pathloss_ref: float = db_to_linear(-19.96)
     p_max: float = dbm_to_watts(26.0)
     noise_psd: float = dbm_to_watts(-174.0)  # watts/Hz
-    carrier_freq: float = 700e6
     direct_pathloss_exp: float = 3.908
     rician_factors: tuple = (db_to_linear(3.0), db_to_linear(3.0))
     ris_pathloss_exps: tuple = (2.2, 2.2)
@@ -96,34 +100,35 @@ class SystemParams:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _typed(f.name, getattr(self, f.name)))
-        if self.num_slots == 0:
-            ratio = self.flight_time / self.slot_duration
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ValueError(
-                    "invariant violated: slot_duration must divide flight_time "
-                    f"(flight_time/slot_duration = {ratio})"
-                )
-            object.__setattr__(self, "num_slots", int(round(ratio)))
-        if abs(self.num_slots * self.slot_duration - self.flight_time) > 1e-9 * self.flight_time:
-            raise ValueError(
-                "invariant violated: num_slots * slot_duration != flight_time "
-                f"({self.num_slots} * {self.slot_duration} != {self.flight_time})"
-            )
-        for name in ("num_users", "num_subcarriers", "rx_antennas", "tx_antennas"):
+        for name in ("num_users", "num_subcarriers", "rx_antennas"):
             if getattr(self, name) < 1:
                 raise ValueError(f"invariant violated: {name} must be >= 1")
         if self.num_ris_elements < 0:
             raise ValueError("invariant violated: num_ris_elements must be >= 0")
-        if self.tx_antennas != 2:
-            raise ValueError("invariant violated: tx_antennas is fixed at 2 "
-                             "(the exposure polynomial is defined for 2 transmit antennas)")
         positive = ("bs_height", "aris_height", "slot_duration", "flight_time",
                     "v_max", "bandwidth_per_re", "los_pathloss_ref",
-                    "nlos_pathloss_ref", "p_max", "noise_psd", "carrier_freq",
+                    "nlos_pathloss_ref", "p_max", "noise_psd",
                     "antenna_spacing_ratio")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"invariant violated: {name} must be positive")
+        ratio = self.flight_time / self.slot_duration
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise ValueError(
+                "invariant violated: slot_duration must divide flight_time "
+                f"(flight_time/slot_duration = {ratio})"
+            )
+        if round(ratio) < 2:
+            raise ValueError(
+                "invariant violated: flight_time / slot_duration must give at least "
+                f"2 slots (flight_time = {self.flight_time}, "
+                f"slot_duration = {self.slot_duration})"
+            )
+
+    @property
+    def num_slots(self):
+        """The slot count N_T = flight_time / slot_duration."""
+        return round(self.flight_time / self.slot_duration)
 
     @property
     def max_slot_distance(self):
@@ -155,7 +160,6 @@ class Scenario:
     sar_model: SarModel
     rng_seed: int
     cell_radius: float
-    departure_uses_x: bool = False      # see channel module
 
     def __post_init__(self):
         p = self.params
@@ -180,15 +184,6 @@ class Scenario:
             q = getattr(self, name)
             if abs(q[2] - p.aris_height) > 1e-9:
                 raise ValueError(f"invariant violated: {name} must be at altitude {p.aris_height}")
-
-    # convenience views used throughout the optimizer
-    @property
-    def num_users(self):
-        return self.params.num_users
-
-    @property
-    def num_slots(self):
-        return self.params.num_slots
 
 
 def sample_user_positions(rng, radius, num_users):
@@ -229,10 +224,9 @@ _EXTRAS = {
     "aris.end": ("list", (100.0, 20.0)),
     "seed": ("int", 0),
     "sar.model": ("str", None),
-    "channel.departure_uses_x": ("bool", False),
 }
 
-# every config key's kind: int, float, pair, list, str or bool
+# every config key's kind: int, float, pair, list or str
 _KINDS = {f.name: "pair" if f.type == "tuple" else f.type for f in fields(SystemParams)}
 _KINDS.update((key, kind) for key, (kind, _) in _EXTRAS.items())
 
@@ -284,11 +278,6 @@ def parse_value(key, text):
     kind = _KINDS[key]
     if kind == "str":
         return text
-    if kind == "bool":
-        low = text.lower()
-        if low not in ("true", "false", "0", "1"):
-            raise ValueError(f"{key} must be true/false")
-        return low in ("true", "1")
     to_si = _UNITS[key][0] if key in _UNITS else float
     nums = [to_si(v) for v in _parse_list(text, scalar=kind in ("int", "float"))]
     return _typed(key, nums if kind in ("pair", "list") else nums[0])
@@ -367,7 +356,6 @@ def scenario_from_options(options):
         sar_model=sar,
         rng_seed=seed,
         cell_radius=radius,
-        departure_uses_x=bool(extra["channel.departure_uses_x"]),
     )
 
 
@@ -397,19 +385,24 @@ def load_scenario(path, overrides=None):
         return load_scenario_text(fh.read(), overrides)
 
 
-def _db_preimage(x, from_db, to_db):
-    """A dB value t with from_db(t) == x bit-exactly, when one exists.
+def _db_preimage(key, x):
+    """The dB (or dBm) file value t of `key` that loads back to x bit-exactly.
 
     to_db(from_db(t)) can be off by an ulp, which would break the
     write -> load -> equal round trip; walk a few ulps to land exactly.
+    One ulp of t moves from_db(t) by several ulps, so many values (p_max =
+    0.3 W among them) are from_db of no double t; those raise ValueError
+    naming `key`.
     """
+    from_db, to_db = _UNITS[key]
     t = to_db(x)
     for _ in range(64):
         got = from_db(t)
         if got == x:
             return t
         t = math.nextafter(t, math.inf if got < x else -math.inf)
-    return to_db(x)  # best effort for values outside from_db's image
+    raise ValueError(f"save_scenario cannot write {key} = {x!r}: "
+                     "no file value loads back to it exactly")
 
 
 def _format_value(key, value):
@@ -417,9 +410,7 @@ def _format_value(key, value):
     kind = _KINDS[key]
     if kind == "int":
         return str(value)
-    if kind == "bool":
-        return str(value).lower()
-    nums = [_db_preimage(v, *_UNITS[key]) if key in _UNITS else v
+    nums = [_db_preimage(key, v) if key in _UNITS else v
             for v in np.atleast_1d(value)]
     text = ", ".join(repr(float(v)) for v in nums)
     return f"[{text}]" if key == "rates" else text
@@ -430,22 +421,24 @@ def save_scenario(scenario, path):
 
     Positions are regenerated from the stored seed on load, so only the seed
     and sampling radius are persisted.  A config file cannot name a SAR
-    model, so a scenario with a non-default one raises ValueError.
+    model, so a scenario with a non-default one raises ValueError, as does
+    a dB-unit value that no file text loads back to exactly; no file is
+    written then.
     """
     if scenario.sar_model != default_sar_model():
         raise ValueError("save_scenario cannot write a non-default sar.model")
     p = scenario.params
-    values = {f.name: getattr(p, f.name) for f in fields(p) if f.name != "num_slots"}
+    values = {f.name: getattr(p, f.name) for f in fields(p)}
     values.update({
         "users.radius": scenario.cell_radius,
         "rates": scenario.rate_targets,
         "aris.start": scenario.aris_start,
         "aris.end": scenario.aris_end,
         "seed": scenario.rng_seed,
-        "channel.departure_uses_x": scenario.departure_uses_x,
     })
+    text = "".join(f"{key} = {_format_value(key, v)}\n" for key, v in values.items())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{key} = {_format_value(key, v)}\n" for key, v in values.items()))
+        fh.write(text)
 
 
 def desk_scenario(seed=7, **overrides):
@@ -476,10 +469,7 @@ def scenario_with(scenario, **param_overrides):
     """Scenario copy with some SystemParams fields replaced.
 
     User positions, rates, endpoints, and the seed are preserved; the
-    derived slot count is recomputed when timing fields change.
+    derived slot count follows the timing fields.
     """
-    if ("slot_duration" in param_overrides or "flight_time" in param_overrides) \
-            and "num_slots" not in param_overrides:
-        param_overrides["num_slots"] = 0
     newp = replace(scenario.params, **param_overrides)
     return replace(scenario, params=newp)

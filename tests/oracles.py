@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from aris_emf.channel import TWO_PI
+from aris_emf.channel import TWO_PI, TX_ANTENNAS
 from aris_emf.exposure import InfeasibleError, power_factor
 from aris_emf.orchestrator import CAP_SLACK, _block_beams, _block_phases, _block_power
 from aris_emf.power_control import _solve
@@ -44,11 +44,10 @@ def dense_mixtures(channel_set, trajectory):
     d_rb = np.linalg.norm(q - sc.bs_position[None, :], axis=1)
     spacing = p.antenna_spacing_ratio
     sin_ur = diff[:, :, 1] / d_ur
-    sin_ud = diff[:, :, 0] / d_ur if sc.departure_uses_x else sin_ur
     ar_n = np.exp(-1j * TWO_PI * spacing
                   * np.arange(p.num_ris_elements)[None, None, :] * sin_ur[:, :, None])
     at_m = np.exp(-1j * TWO_PI * spacing
-                  * np.arange(p.tx_antennas)[None, None, :] * sin_ud[:, :, None])
+                  * np.arange(TX_ANTENNAS)[None, None, :] * sin_ur[:, :, None])
     los_g = ar_n[:, :, :, None] * at_m.conj()[:, :, None, :]
     sin_rb = (sc.bs_position[0] - q[:, 0]) / d_rb
     ar_mr = np.exp(-1j * TWO_PI * spacing

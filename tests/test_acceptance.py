@@ -328,7 +328,7 @@ def test_criterion_7_trend_reproduction():
         direct[trial] = state.exposure()
 
     def mean_of(result, key):
-        return float(np.mean(result.samples[key]))
+        return float(np.mean(list(result.by_trial[key].values())))
 
     mr_means = [mean_of(mr, (v, "proposed")) for v in (4, 8, 16)]
     a_ok = mr_means[0] > mr_means[1] > mr_means[2]

@@ -47,8 +47,7 @@ def test_output_checks_pass_on_a_desk_run():
 
 def test_output_checks_pass_on_the_fixed_surface_report():
     sc = desk_scenario()
-    report = baseline_fixed_ris(sc, trial=0, eps=MC_EPS, max_outer=1,
-                                knobs=MC_KNOBS)
+    report = baseline_fixed_ris(sc, trial=0, eps=MC_EPS, max_outer=1)
     checks.check_report(report, sc)
 
 
@@ -85,8 +84,7 @@ def test_phase_block_runs_without_the_sdp_on_a_fixed_surface_run():
     tracer = instrument.Tracer()
     with ExitStack() as stack:
         tracer.install(stack)
-        baseline_fixed_ris(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1,
-                           knobs=MC_KNOBS)
+        baseline_fixed_ris(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1)
     totals = tracer.totals()
     assert totals["ris_phase.optimize_phases"][0] > 0
     assert totals["convex_kernels.solve_sdp"][0] == 0
@@ -100,8 +98,7 @@ def test_run_ao_observer_counts_the_fixed_surface_scheme():
     tracer = instrument.Tracer()
     with ExitStack() as stack:
         tracer.install(stack)
-        baseline_fixed_ris(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1,
-                           knobs=MC_KNOBS)
+        baseline_fixed_ris(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1)
     assert tracer.counts["orchestrator.accepted.phases"] > 0
     assert tracer.counts["orchestrator.outer_iters"] > 0
 
@@ -124,8 +121,7 @@ def test_link_primitives_the_benchmark_times_are_called_in_a_desk_run():
     tracer = instrument.Tracer()
     with ExitStack() as stack:
         tracer.install(stack)
-        baseline_fixed_ris(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1,
-                           knobs=MC_KNOBS)
+        baseline_fixed_ris(desk_scenario(), trial=0, eps=MC_EPS, max_outer=1)
     assert tracer.totals()["orchestrator.fixed_position_search"][0] > 0
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aris_emf import channel
-from aris_emf.channel import (TWO_PI, ChannelSet, beam_array,
+from aris_emf.channel import (TWO_PI, TX_ANTENNAS, ChannelSet, beam_array,
                               beam_vector, channel_gain, gram, rng_stream, slot_groups)
 from aris_emf.orchestrator import initialize_state, run_ao
 from aris_emf.scenario import desk_scenario, load_scenario, scenario_from_options
@@ -37,18 +37,17 @@ def _rician(rng_draw, los, k_factor):
         + math.sqrt(1.0 / (k_factor + 1.0)) * rng_draw
 
 
-def synth_user_aris_channel(rng, user_pos, aris_pos, params, departure_uses_x=False):
+def synth_user_aris_channel(rng, user_pos, aris_pos, params):
     """One user->surface channel draw (N x M_t) at the given geometry."""
     p = params
     d = float(np.linalg.norm(np.asarray(user_pos) - np.asarray(aris_pos)))
     if d <= 0:
         raise ValueError("degenerate geometry: user and surface positions coincide")
     sin_arr = (user_pos[1] - aris_pos[1]) / d
-    sin_dep = (user_pos[0] - aris_pos[0]) / d if departure_uses_x else sin_arr
     a_n = steering_vector(p.num_ris_elements, sin_arr, p.antenna_spacing_ratio)
-    a_t = steering_vector(p.tx_antennas, sin_dep, p.antenna_spacing_ratio)
+    a_t = steering_vector(TX_ANTENNAS, sin_arr, p.antenna_spacing_ratio)
     los = np.outer(a_n, a_t.conj())
-    w = _cgauss(rng, (p.num_ris_elements, p.tx_antennas))
+    w = _cgauss(rng, (p.num_ris_elements, TX_ANTENNAS))
     scale = math.sqrt(p.los_pathloss_ref * d ** (-p.ris_pathloss_exps[0]))
     return scale * _rician(w, los, p.rician_factors[0])
 
@@ -75,7 +74,7 @@ def synth_direct_channel(rng, user_pos, bs_pos, params):
     if d <= 0:
         raise ValueError("degenerate geometry: user and BS positions coincide")
     scale = math.sqrt(p.nlos_pathloss_ref * d ** (-p.direct_pathloss_exp))
-    return scale * _cgauss(rng, (p.rx_antennas, p.tx_antennas))
+    return scale * _cgauss(rng, (p.rx_antennas, TX_ANTENNAS))
 
 
 def effective_channel(h_mat, theta, g_mat, hd_mat):
@@ -174,7 +173,7 @@ def test_scalar_pure_los_unit_modulus():
                 rx_antennas=1, rates=(1e6,), seed=0,
                 los_pathloss_ref=1.0, rician_factors=(1e12, 1e12))
     sc = scenario_from_options(opts)
-    # tx_antennas is fixed at 2; check the N=1 column magnitudes instead
+    # TX_ANTENNAS is fixed at 2; check the N=1 column magnitudes instead
     rng = np.random.default_rng(0)
     g = synth_user_aris_channel(rng, np.array([1.0, 0.0, 0.0]),
                                 np.array([0.0, 0.0, 0.0001]), sc.params)
@@ -350,7 +349,7 @@ def test_channel_set_matches_op_level_formulas():
     assert real.d_ur[ell, u] == pytest.approx(d, rel=1e-12)
     sin_a = (sc.user_positions[u][1] - q[ell][1]) / d
     los = np.outer(steering_vector(p.num_ris_elements, sin_a, p.antenna_spacing_ratio),
-                   steering_vector(p.tx_antennas, sin_a, p.antenna_spacing_ratio).conj())
+                   steering_vector(TX_ANTENNAS, sin_a, p.antenna_spacing_ratio).conj())
     want = (math.sqrt(k1 / (k1 + 1)) * los
             + math.sqrt(1 / (k1 + 1)) * cs._wg[ell, n, u])
     assert np.allclose(real.gbar[ell, n, u], want, atol=1e-12)
@@ -488,7 +487,7 @@ def test_effective_on_a_slot_array_matches_per_slot_calls(num_ris_elements):
     delta[4] = rng.uniform(size=delta[4].shape) < 0.5
     ell, u, n = np.nonzero(delta)
     got = real.effective(ell, n, u, thetas[ell])
-    assert got.shape == (ell.size, p.rx_antennas, p.tx_antennas)
+    assert got.shape == (ell.size, p.rx_antennas, TX_ANTENNAS)
     for slot in np.unique(ell):
         k = ell == slot
         want = real.effective(slot, n[k], u[k], thetas[slot])

@@ -1,7 +1,10 @@
 """The config schema: saved files reproduce the shipped configs byte for
-byte, every system parameter survives a save/load round trip, and the
-sweep command line reads values in the config file's units."""
+byte, every system parameter is read by the package and survives a
+save/load round trip, and the sweep command line reads values in the config
+file's units."""
 
+import ast
+import glob
 import os
 from dataclasses import fields
 
@@ -15,10 +18,11 @@ from aris_emf.scenario import (_KINDS, ConfigError, SystemParams, db_to_linear,
                                scenario_from_options)
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "aris_emf")
 
-# One valid non-default value per SystemParams field. num_slots is derived,
-# and an invariant pins tx_antennas at 2. Each dB or dBm value is the image
-# of a file value, so the save must find a preimage that loads bit-exactly.
+# One valid non-default value per SystemParams field. Each dB or dBm value
+# is the image of a file value, so the save must find a preimage that loads
+# bit-exactly.
 NON_DEFAULT = {
     "num_users": 3,
     "num_subcarriers": 12,
@@ -34,7 +38,6 @@ NON_DEFAULT = {
     "nlos_pathloss_ref": db_to_linear(-18.37),
     "p_max": dbm_to_watts(23.7),
     "noise_psd": dbm_to_watts(-170.0),
-    "carrier_freq": 2.4e9,
     "direct_pathloss_exp": 3.5,
     "rician_factors": (db_to_linear(5.0), db_to_linear(2.31)),
     "ris_pathloss_exps": (2.0, 2.5),
@@ -51,9 +54,20 @@ def test_save_reproduces_shipped_configs(name, tmp_path):
         assert out.read_bytes() == fh.read()
 
 
+def test_every_parameter_is_read():
+    # a field that no module reads cannot change a result
+    reads = set()
+    for path in glob.glob(os.path.join(PACKAGE, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    assert not {f.name for f in fields(SystemParams)} - reads
+
+
 def test_saved_file_names_every_parameter(tmp_path):
-    params = {f.name for f in fields(SystemParams)} - {"num_slots"}
-    assert set(NON_DEFAULT) == params - {"tx_antennas"}
+    params = {f.name for f in fields(SystemParams)}
+    assert set(NON_DEFAULT) == params
     path = tmp_path / "desk.cfg"
     save_scenario(desk_scenario(), path)
     keys = {line.split(" = ")[0] for line in path.read_text().splitlines()}
@@ -85,6 +99,16 @@ def test_save_refuses_a_sar_model_it_cannot_write(tmp_path):
     assert not out.exists()
 
 
+def test_save_refuses_a_value_it_cannot_round_trip(tmp_path):
+    # no dBm double loads back to 0.3 W exactly: the nearest reads
+    # 0.3000000000000001, so the saved file would not be the same scenario
+    scn = scenario_from_options({"p_max": 0.3})
+    out = tmp_path / "scn.cfg"
+    with pytest.raises(ValueError, match="p_max"):
+        save_scenario(scn, out)
+    assert not out.exists()
+
+
 def test_integer_keys_reject_fractions_and_infinities():
     for text in ("num_users = 2.5", "seed = 3.5", "num_subcarriers = inf",
                  "num_users = [3]"):
@@ -94,7 +118,7 @@ def test_integer_keys_reject_fractions_and_infinities():
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize("key", sorted(k for k, kind in _KINDS.items()
-                                       if kind not in ("str", "bool")))
+                                       if kind != "str"))
 def test_non_finite_values_are_rejected(key, bad, tmp_path, capsys):
     # NaN passes every `x <= 0` check: one non-finite number in any key
     # stops the load, from a config file (exit 1) and in memory alike

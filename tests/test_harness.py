@@ -109,14 +109,15 @@ def test_sweep_keeps_per_trial_pairing():
 
 def solved_alone(scheme, trial):
     """A scheme's exposure index from its own call, on a ChannelSet of its own."""
-    args = dict(trial=trial, eps=MC_EPS, knobs=MC_KNOBS)
+    args = dict(trial=trial, eps=MC_EPS)
     if scheme == "proposed":
-        return run_ao(DESK, **args)[1].exposure_index
+        return run_ao(DESK, knobs=MC_KNOBS, **args)[1].exposure_index
     if scheme == "fixed":
         return baseline_fixed_ris(DESK, **args).exposure_index
     if scheme == "no-ris":
         return baseline_no_ris(DESK, **args).exposure_index
-    return run_ao(DESK, phase_mode=scheme, label=scheme, **args)[1].exposure_index
+    return run_ao(DESK, knobs=MC_KNOBS, phase_mode=scheme, label=scheme,
+                  **args)[1].exposure_index
 
 
 @pytest.mark.parametrize("schemes", [SCHEMES, ("fixed",)], ids=["all", "fixed-alone"])
@@ -166,7 +167,7 @@ def test_no_ris_set_shares_the_trials_direct_draws():
     assert [a.shape for a in (derived._wg, derived._wh, derived._hd)] == \
         [a.shape for a in (fresh._wg, fresh._wh, fresh._hd)]
     assert np.shares_memory(derived._hd, shared._hd)
-    report = baseline_no_ris(DESK, trial=3, eps=MC_EPS, knobs=MC_KNOBS, channel_set=shared)
+    report = baseline_no_ris(DESK, trial=3, eps=MC_EPS, channel_set=shared)
     assert report.exposure_index == solved_alone("no-ris", 3)
     assert fingerprint(shared) == before
     with pytest.raises(ValueError, match="no surface"):

@@ -36,7 +36,7 @@ FULL_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "full.c
 
 
 def straight_path(scenario):
-    return straight_trajectory(scenario.aris_start, scenario.aris_end, scenario.num_slots)
+    return straight_trajectory(scenario.aris_start, scenario.aris_end, scenario.params.num_slots)
 
 
 def make_state(scenario, trial=0):
@@ -105,7 +105,7 @@ def test_initialization_checks_caps_at_the_given_path():
     # a cap the straight start meets, broken by a start parked elsewhere
     sc = desk_scenario()
     pos = np.array([-50.0, -50.0, sc.params.aris_height])
-    parked = straight_trajectory(pos, pos, sc.num_slots)
+    parked = straight_trajectory(pos, pos, sc.params.num_slots)
     straight_spend = make_state(sc).powers.sum(axis=2).max()
     parked_state = initialize_state(sc, ChannelSet(sc, 0), parked)
     parked_spend = parked_state.powers.sum(axis=2).max()
@@ -202,7 +202,7 @@ def test_counters_track_inner_solver_work():
     # on a full-scale phase block most restarts rejoin a no-worse column and
     # retire; with no restarts none does
     sc = load_scenario(FULL_CFG)
-    rngs = [rng_stream(sc.rng_seed, 0, ell, 0, STREAM_GR) for ell in range(sc.num_slots)]
+    rngs = [rng_stream(sc.rng_seed, 0, ell, 0, STREAM_GR) for ell in range(sc.params.num_slots)]
     state = make_state(sc)
     orchestrator._block_phases(state, rngs)
     assert state.counters["phase_retired"] > 0
@@ -344,8 +344,8 @@ def test_sweep_wide_beam_candidates_match_per_slot_searches(trial):
     second, _ = run_ao(sc, trial=trial, eps=MC_EPS, max_outer=1, knobs=MC_KNOBS)
     for state in (first, second):
         ok, cand = _block_beams(state)
-        assert ok.shape == (sc.num_slots,)
-        for ell in range(sc.num_slots):
+        assert ok.shape == (sc.params.num_slots,)
+        for ell in range(sc.params.num_slots):
             want = per_slot_beam_candidate(state, ell)
             assert ok[ell]
             for got_arr, want_arr in zip([a[ell] for a in cand.values()], want):
@@ -374,7 +374,7 @@ def test_grouped_beam_search_matches_per_slot_calls(group_links, searched, monke
     state = make_state(desk_scenario(), trial=1)
     ok, cand = _block_beams(state)
     assert calls == searched
-    for ell in range(state.scenario.num_slots):
+    for ell in range(state.scenario.params.num_slots):
         assert ok[ell]
         for got_arr, want_arr in zip([a[ell] for a in cand.values()],
                                      per_slot_beam_candidate(state, ell)):
@@ -402,7 +402,7 @@ def test_a_zero_gain_link_marks_only_its_slot_unusable(monkeypatch):
     assert calls == [l.size]
     assert not ok[3]
     assert state.counters["beam_unusable"] == 1
-    for ell in set(range(sc.num_slots)) - {3}:
+    for ell in set(range(sc.params.num_slots)) - {3}:
         assert ok[ell]
         for got_arr, want_arr in zip([a[ell] for a in got.values()],
                                      [a[ell] for a in want.values()]):
@@ -420,7 +420,7 @@ def test_full_scale_beam_block_stays_small_in_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ok.shape == (sc.num_slots,)
+    assert ok.shape == (sc.params.num_slots,)
     assert peak < 16e6
 
 
@@ -429,14 +429,14 @@ def test_full_scale_phase_block_stays_small_in_memory():
     # slot's cascades gathered at once would add about 65 MB
     sc = load_scenario(FULL_CFG)
     state = make_state(sc)
-    rngs = [rng_stream(sc.rng_seed, 0, ell, 0, STREAM_GR) for ell in range(sc.num_slots)]
+    rngs = [rng_stream(sc.rng_seed, 0, ell, 0, STREAM_GR) for ell in range(sc.params.num_slots)]
     tracemalloc.start()
     try:
         ok, _ = orchestrator._block_phases(state, rngs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ok.shape == (sc.num_slots,)
+    assert ok.shape == (sc.params.num_slots,)
     assert peak < 24e6
 
 
@@ -514,7 +514,7 @@ def test_zero_users_exposure_is_zero_by_convention():
 
 def test_no_ris_baseline_runs_without_surface():
     sc = desk_scenario()
-    report = baseline_no_ris(sc, trial=0, eps=1e-2, knobs=FAST)
+    report = baseline_no_ris(sc, trial=0, eps=1e-2)
     assert report.label == "no-ris"
     assert report.exposure_index > 0
     assert np.all(report.achieved_rates >= sc.rate_targets * (1 - 1e-6))
@@ -522,7 +522,7 @@ def test_no_ris_baseline_runs_without_surface():
 
 def test_fixed_ris_beats_direct_trajectory_at_desk_scale():
     sc = desk_scenario()
-    fixed = baseline_fixed_ris(sc, trial=0, eps=1e-2, knobs=FAST)
+    fixed = baseline_fixed_ris(sc, trial=0, eps=1e-2)
     direct, _ = run_ao(sc, trial=0, eps=1e-2, knobs=FAST,
                        enable_trajectory=False)
     assert fixed.exposure_index <= direct.exposure()
@@ -564,7 +564,7 @@ def test_optimized_beats_unoptimized_benchmarks_on_most_trials():
         opt, _ = run_ao(sc, trial=trial, eps=1e-2, knobs=FAST)
         rnd = run_ao(sc, trial=trial, eps=1e-2, knobs=FAST, phase_mode="random",
                      label="random")[1]
-        bare = baseline_no_ris(sc, trial=trial, eps=1e-2, knobs=FAST)
+        bare = baseline_no_ris(sc, trial=trial, eps=1e-2)
         wins_random += opt.exposure() <= rnd.exposure_index
         wins_noris += opt.exposure() <= bare.exposure_index
     assert wins_random >= 4

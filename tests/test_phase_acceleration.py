@@ -33,7 +33,7 @@ def full_scale_phase_calls(ascent):
     `optimize_phases`; the evaluations are read from `state.counters`."""
     sc = load_scenario(FULL_CFG)
     state = make_state(sc)
-    rngs = [rng_stream(sc.rng_seed, 0, ell, 0, STREAM_GR) for ell in range(sc.num_slots)]
+    rngs = [rng_stream(sc.rng_seed, 0, ell, 0, STREAM_GR) for ell in range(sc.params.num_slots)]
     steps, values = [], []
 
     def counted(cascade, direct, delta, c_un, theta0, rng, counters):

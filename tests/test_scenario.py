@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aris_emf.scenario import (ConfigError, SystemParams, db_to_linear,
+from aris_emf.channel import TX_ANTENNAS
+from aris_emf.scenario import (ConfigError, db_to_linear,
                                dbm_to_watts, desk_scenario, load_scenario,
                                load_scenario_text, noise_power,
                                sample_user_positions, save_scenario,
@@ -90,7 +91,6 @@ def test_defaults_fill_missing_fields():
     assert p.slot_duration == 15.0
     assert p.flight_time == 300.0
     assert p.num_slots == 20
-    assert p.carrier_freq == 700e6
     assert p.direct_pathloss_exp == pytest.approx(3.908)
     assert p.p_max == pytest.approx(dbm_to_watts(26.0), rel=1e-12)
     assert p.los_pathloss_ref == pytest.approx(db_to_linear(-24.91), rel=1e-12)
@@ -106,11 +106,19 @@ def test_defaults_fill_missing_fields():
 def test_slot_count_must_divide():
     with pytest.raises((ConfigError, ValueError), match="slot_duration|num_slots"):
         load_scenario_text("flight_time = 100\nslot_duration = 15")
+    # one slot divides, but a flight path needs a start and an end slot
+    with pytest.raises(ConfigError, match=r"flight_time / slot_duration must give at least 2"):
+        load_scenario_text("flight_time = 15\nslot_duration = 15")
+    with pytest.raises(ConfigError, match="slot_duration must be positive"):
+        load_scenario_text("slot_duration = 0")
 
 
 def test_unknown_key_rejected_with_line():
-    with pytest.raises(ConfigError, match="line 2"):
-        load_scenario_text("num_users = 4\nbogus_key = 3")
+    # the last four are constants or derived values of the model, not keys
+    for key in ("bogus_key", "carrier_freq", "tx_antennas", "num_slots",
+                "channel.departure_uses_x"):
+        with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+            load_scenario_text(f"num_users = 4\n{key} = 3")
 
 
 def test_duplicate_key_rejected():
@@ -180,8 +188,9 @@ def test_scenario_with_overrides():
 
 
 def test_tx_antennas_fixed_at_two():
-    with pytest.raises(ValueError, match="tx_antennas"):
-        SystemParams(tx_antennas=4)
+    assert TX_ANTENNAS == 2
+    with pytest.raises(ConfigError, match="line 1: unknown key 'tx_antennas'"):
+        load_scenario_text("tx_antennas = 4")
 
 
 def test_sar_model_config_hook(tmp_path):
